@@ -348,6 +348,8 @@ def _cmd_batch(args, parser) -> int:
     for g in range(args.g_min, args.g_max + 1):
         try:
             row = _batch_row(g)
+        except ConsistencyError:
+            raise  # a contradiction ends the batch with exit 3
         except Exception as exc:  # keep going; report the failed genus
             failures += 1
             if args.json:
@@ -372,14 +374,15 @@ def _batch_row(g: int) -> dict:
     graph = multi_theta(g)
     h = build_hrep(graph)
     v = enumerate_vertices(h)
-    facet_rows = set(facet_defining_rows(h, v))
+    facet_rows = facet_defining_rows(h, v)
     labellings = cube_vertex_labellings(graph)
     lattice = build_lattice(graph)
-    verdict = delzant_check(h, v, lattice)
+    verdict = delzant_check(h, v, lattice, facet_rows)
     apply_loop_free_guard(graph, verdict)
     origin = tuple(Fraction(0) for _ in range(h.dim))
     oi = v.vertices.index(origin)
-    origin_facets = sum(1 for i in v.incidence[oi] if i in facet_rows)
+    facet_set = set(facet_rows)
+    origin_facets = sum(1 for i in v.incidence[oi] if i in facet_set)
     return {
         "g": g,
         "cube_vertex_count": len(labellings),

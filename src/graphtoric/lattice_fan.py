@@ -291,6 +291,6 @@ def singularity_report(graph: TrivalentGraph) -> SingularityReport:
     h = build_hrep(graph)
     v = enumerate_vertices(h)
     lattice = build_lattice(graph)
-    verdict = delzant_check(h, v, lattice)
+    verdict = delzant_check(h, v, lattice, facet_defining_rows(h, v))
     guard = apply_loop_free_guard(graph, verdict)
     return SingularityReport(graph.genus, graph.is_loop_free(), guard, verdict)

@@ -149,6 +149,10 @@ class VPolytope:
 
     ``incidence[i]`` lists the indices of all H-rows tight at vertex i;
     ``dim`` is the affine dimension of the vertex set (-1 when empty).
+    When the polytope is full-dimensional and its rows are normalized and
+    deduplicated, the incidence alone decides the facets: row i defines a
+    facet iff it is tight at n or more vertices and no other row is tight
+    at a strict superset of them (see facet_defining_rows).
     """
 
     dim: int
@@ -160,27 +164,81 @@ def dimension(v: VPolytope) -> int:
     return v.dim
 
 
-def _vpolytope_from_points(h: HPolytope, points: Iterable[Sequence[Fraction]]) -> VPolytope:
-    verts = sorted({tuple(Fraction(x) for x in p) for p in points})
-    incidence = []
-    for p in verts:
-        tight = tuple(
-            i
-            for i, row in enumerate(h.rows)
-            if sum(c * v for c, v in zip(row.a, p)) == row.b
-        )
-        incidence.append(tight)
-    if not verts:
-        dim = -1
-    else:
-        basis = EchelonBasis()
-        origin = verts[0]
-        for p in verts[1:]:
-            basis.add([x - y for x, y in zip(p, origin)])
-            if basis.rank == h.dim:
-                break
-        dim = basis.rank
-    return VPolytope(dim, tuple(verts), tuple(incidence))
+def _homogeneous_rows(h: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Distinct rows (b, -a) of the homogenising cone, sorted, with the
+    extra row t >= 0; and per row the bitmask of the H-rows it came from.
+
+    The t >= 0 row belongs to no H-row (unless a caller built a trivial
+    0.x <= 1 row by hand, which is tight at no vertex either way).
+    """
+    n = h.dim
+    sources: dict[tuple[int, ...], int] = {(1,) + (0,) * n: 0}
+    for i, row in enumerate(h.rows):
+        key = (row.b,) + tuple(-x for x in row.a)
+        sources[key] = sources.get(key, 0) | 1 << i
+    rows = sorted(sources)
+    return rows, [sources[r] for r in rows]
+
+
+def _vpolytope_from_rays(
+    row_sources: Sequence[int], rays: Sequence[tuple[int, ...]], zmasks: Sequence[int]
+) -> VPolytope:
+    """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0.
+
+    ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r;
+    mapping each row back through ``row_sources`` gives the incidence.
+    Vertices are sorted by the integer keys L*x, L the lcm of all t,
+    which is their lexicographic order.  The affine dimension is the
+    integer rank of the rays minus one.
+    """
+    scale = lcm(*(ray[0] for ray in rays))
+    order = sorted(
+        range(len(rays)),
+        key=lambda r: tuple(c * (scale // rays[r][0]) for c in rays[r][1:]),
+    )
+    vertices, incidence = [], []
+    for r in order:
+        t = rays[r][0]
+        vertices.append(tuple(Fraction(c, t) for c in rays[r][1:]))
+        tight = 0
+        for k in _bits(zmasks[r]):
+            tight |= row_sources[k]
+        incidence.append(tuple(_bits(tight)))
+    return VPolytope(_integer_rank(rays) - 1, tuple(vertices), tuple(incidence))
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of integer vectors by fraction-free elimination.
+
+    Each basis row is kept primitive and zero left of its pivot; a new
+    vector is cleared at each pivot by an integer cross-multiplication.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row), by pivot
+    for vec in vectors:
+        v = list(vec)
+        for piv, row in basis:
+            if v[piv]:
+                a, b = row[piv], v[piv]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        g = gcd(*v)
+        basis.append((piv, [x // g for x in v]))
+        basis.sort(key=lambda t: t[0])
+        if len(basis) == len(v):
+            break
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +254,20 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     Rays are primitive integer vectors, so all arithmetic stays in Z.
     Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
     means the polytope is unbounded, which is reported as an error.
+    Incidence and dimension come from the final rays and their zero-masks.
     """
     n = h.dim
-    hom = {(row.b,) + tuple(-x for x in row.a) for row in h.rows}
-    hom.add((1,) + (0,) * n)
-    rows = sorted(hom)
+    rows, row_sources = _homogeneous_rows(h)
     d = n + 1
     m = len(rows)
 
     basis = EchelonBasis()
-    initial = [j for j in range(m) if basis.add(rows[j])]
+    initial = []
+    for j in range(m):
+        if basis.add(rows[j]):
+            initial.append(j)
+            if basis.rank == d:
+                break
     if len(initial) < d:
         raise UnboundedPolytope(
             "inequality system is invariant along a direction; it has no vertices"
@@ -235,15 +297,13 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
                 new_dots.append([x // g for x in dot])
             rays = [rays[r] for r in keep] + new_rays
             dots = [dots[r] for r in keep] + new_dots
-            zmasks = [_zero_mask(dot) for dot in dots]
+            zmasks = [zmasks[r] for r in keep] + [_zero_mask(dot) for dot in new_dots]
         processed |= 1 << j
 
-    vertices = []
     for ray in rays:
         if ray[0] == 0:
             raise UnboundedPolytope(f"recession direction {ray[1:]} found")
-        vertices.append(tuple(Fraction(c, ray[0]) for c in ray[1:]))
-    return _vpolytope_from_points(h, vertices)
+    return _vpolytope_from_rays(row_sources, rays, zmasks)
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -261,22 +321,33 @@ def _zero_mask(dot: Sequence[int]) -> int:
 def _adjacent_pairs(pos, neg, zmasks, processed, d, count):
     """Yield (p, q) whose rays span a 2-face of the current cone.
 
-    Combinatorial adjacency test for pointed cones: the common zero set
-    of p and q (among processed rows) must not be contained in the zero
-    set of any third ray.  Pairs with fewer than d-2 common tight rows
-    cannot be adjacent and are skipped outright.
+    Combinatorial adjacency test for pointed cones (Fukuda & Prodon,
+    1996): the common zero set of p and q among processed rows must not
+    be contained in the zero set of any third ray.  Each processed row
+    keeps the bitset of rays tight on it; the rays tight on the whole
+    common zero set are the AND of those bitsets, and the pair is
+    adjacent iff that AND is exactly {p, q}.  Pairs with fewer than d-2
+    common tight rows cannot be adjacent and are skipped outright.
     """
+    tight_rays: dict[int, int] = {}
+    for r in range(count):
+        for j in _bits(zmasks[r] & processed):
+            tight_rays[j] = tight_rays.get(j, 0) | 1 << r
+    everything = (1 << count) - 1
     for p in pos:
         zp = zmasks[p] & processed
         for q in neg:
             z = zp & zmasks[q]
             if z.bit_count() < d - 2:
                 continue
-            if any(
-                r != p and r != q and z & ~zmasks[r] == 0 for r in range(count)
-            ):
-                continue
-            yield p, q
+            pair = 1 << p | 1 << q
+            common = everything
+            while z and common != pair:
+                low = z & -z
+                common &= tight_rays[low.bit_length() - 1]
+                z ^= low
+            if common == pair:
+                yield p, q
 
 
 def brute_force_vertices(h: HPolytope) -> VPolytope:
@@ -284,18 +355,23 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
 
     A candidate survives if its tight system has a unique solution that
     satisfies all rows.  Exponential in the row count; intended for
-    dimensions up to about 9.
+    dimensions up to about 9.  Each solution becomes the primitive
+    homogeneous ray (t, t*x) and goes through the same builder as the
+    double description rays.
     """
     n = h.dim
-    points = []
+    rows, row_sources = _homogeneous_rows(h)
+    found = set()
     rhs = [row.b for row in h.rows]
     for subset in itertools.combinations(range(len(h.rows)), n):
         result = solve(
             QMatrix([h.rows[i].a for i in subset]), [rhs[i] for i in subset]
         )
         if result.status == UNIQUE and contains(h, result.solution):
-            points.append(result.solution)
-    return _vpolytope_from_points(h, points)
+            found.add(primitive_direction((1,) + result.solution))
+    rays = list(found)
+    zmasks = [_zero_mask([_idot(ray, row) for row in rows]) for ray in rays]
+    return _vpolytope_from_rays(row_sources, rays, zmasks)
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +379,25 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
 # ---------------------------------------------------------------------------
 
 def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
-    """Indices of rows whose tight vertex set has affine dimension n-1."""
+    """Indices of rows whose tight vertex set spans a facet.
+
+    Combinatorial criterion, valid for a full-dimensional polytope with
+    normalized, deduplicated rows: row i is a facet iff it is tight at
+    n or more vertices and no other row is tight at a strict superset of
+    those vertices.  Only the incidence bitmasks are read.
+    """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
-    tight_at: dict[int, list[int]] = {i: [] for i in range(len(h.rows))}
+    masks = [0] * len(h.rows)
     for vi, tight in enumerate(v.incidence):
         for i in tight:
-            tight_at[i].append(vi)
-    facets = []
-    for i, vis in tight_at.items():
-        if len(vis) < h.dim:
-            continue
-        basis = EchelonBasis()
-        origin = v.vertices[vis[0]]
-        for vi in vis[1:]:
-            basis.add([x - y for x, y in zip(v.vertices[vi], origin)])
-            if basis.rank == h.dim - 1:
-                facets.append(i)
-                break
-    return tuple(facets)
+            masks[i] |= 1 << vi
+    return tuple(
+        i
+        for i, mi in enumerate(masks)
+        if mi.bit_count() >= h.dim
+        and not any(mj != mi and mj & mi == mi for mj in masks)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately re-derive results with different
 algorithms than the package (cofactor determinants, abs-pivot Gaussian
-elimination, exhaustive labelling search, GF(2) bit elimination) so that
-agreement is meaningful.
+elimination, exhaustive labelling search, GF(2) bit elimination, and the
+Fraction and per-ray routes that vertex enumeration used before it kept
+to integer zero-masks) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from graphtoric.exactmath import EchelonBasis
 from graphtoric.graph_core import GraphError, TrivalentGraph
-from graphtoric.polytope import HPolytope
+from graphtoric.polytope import HPolytope, NotFullDimensional, VPolytope, contains
 
 
 def random_trivalent_graph(rng: random.Random, n_vertices: int) -> TrivalentGraph:
@@ -46,6 +48,102 @@ def random_hsystem(rng: random.Random, n: int, extra_rows: int = 3) -> HPolytope
         a = tuple(rng.randint(-2, 2) for _ in range(n))
         inequalities.append((a, rng.randint(-2, 2)))
     return HPolytope.from_inequalities(n, inequalities)
+
+
+def redundant_hsystem(rng: random.Random, n: int) -> HPolytope:
+    """A random cut cube through the cube's centre, plus rows it implies.
+
+    Adds the sums of two of its rows (tight where both are, so often on
+    a lower face) and one of its rows loosened by 1; about one system in
+    four is also pinned to the hyperplane x_0 = 0, so it is not
+    full-dimensional.
+    """
+    centre = (Fraction(1, 2),) * n
+    base = random_hsystem(rng, n, extra_rows=rng.randint(1, 3))
+    while not contains(base, centre):
+        base = random_hsystem(rng, n, extra_rows=rng.randint(1, 3))
+    rows = [(r.a, r.b) for r in base.rows]
+    extra = []
+    for _ in range(3):
+        (a1, b1), (a2, b2) = rng.sample(rows, 2)
+        extra.append((tuple(x + y for x, y in zip(a1, a2)), b1 + b2))
+    a, b = rng.choice(rows)
+    extra.append((a, b + 1))
+    if rng.random() < 0.25:
+        extra.append((tuple(int(k == 0) for k in range(n)), 0))
+    return HPolytope.from_inequalities(n, rows + extra)
+
+
+# ---------------------------------------------------------------------------
+# Vertex enumeration oracles
+# ---------------------------------------------------------------------------
+
+def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
+    """V-polytope of a point set in Fraction arithmetic.
+
+    Incidence evaluates every row at every point; the dimension is the
+    EchelonBasis rank of the differences to the first point.
+    """
+    verts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    incidence = []
+    for p in verts:
+        incidence.append(tuple(
+            i
+            for i, row in enumerate(h.rows)
+            if sum(c * v for c, v in zip(row.a, p)) == row.b
+        ))
+    if not verts:
+        dim = -1
+    else:
+        basis = EchelonBasis()
+        origin = verts[0]
+        for p in verts[1:]:
+            basis.add([x - y for x, y in zip(p, origin)])
+            if basis.rank == h.dim:
+                break
+        dim = basis.rank
+    return VPolytope(dim, tuple(verts), tuple(incidence))
+
+
+def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
+    """Rows whose tight vertices span affine dimension n-1 (EchelonBasis)."""
+    if v.dim != h.dim:
+        raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
+    tight_at: dict[int, list[int]] = {i: [] for i in range(len(h.rows))}
+    for vi, tight in enumerate(v.incidence):
+        for i in tight:
+            tight_at[i].append(vi)
+    facets = []
+    for i, vis in tight_at.items():
+        if len(vis) < h.dim:
+            continue
+        basis = EchelonBasis()
+        origin = v.vertices[vis[0]]
+        for vi in vis[1:]:
+            basis.add([x - y for x, y in zip(v.vertices[vi], origin)])
+            if basis.rank == h.dim - 1:
+                facets.append(i)
+                break
+    return tuple(facets)
+
+
+def scan_adjacent_pairs(pos, neg, zmasks, processed, d, count):
+    """Double description adjacency by scanning every third ray.
+
+    (p, q) is adjacent iff at least d-2 processed rows vanish on both and
+    no third ray vanishes on all of them.
+    """
+    for p in pos:
+        zp = zmasks[p] & processed
+        for q in neg:
+            z = zp & zmasks[q]
+            if z.bit_count() < d - 2:
+                continue
+            if any(
+                r != p and r != q and z & ~zmasks[r] == 0 for r in range(count)
+            ):
+                continue
+            yield p, q
 
 
 # ---------------------------------------------------------------------------

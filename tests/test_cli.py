@@ -5,7 +5,7 @@ import pytest
 
 import graphtoric.cli as cli
 from graphtoric.cli import AnalysisReport, analyze_graph, main
-from graphtoric.lattice_fan import SMOOTH, DelzantVerdict
+from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
 from graphtoric.polytope import VPolytope
 
 F = Fraction
@@ -190,6 +190,20 @@ class TestBatch:
         assert [r["g"] for r in rows] == [2, 3, 4]
         assert "error" in rows[1]
         assert rows[2]["origin_facet_ok"] is True
+
+    def test_contradiction_exits_3(self, monkeypatch, capsys):
+        real = cli._batch_row
+
+        def contradicting(g):
+            if g == 3:
+                raise ConsistencyError("routes disagree")
+            return real(g)
+
+        monkeypatch.setattr(cli, "_batch_row", contradicting)
+        assert main(["batch", "2", "4", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert [json.loads(line)["g"] for line in captured.out.splitlines()] == [2]
+        assert "internal contradiction: routes disagree" in captured.err
 
 
 class TestReportValue:

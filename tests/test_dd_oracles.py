@@ -1,0 +1,114 @@
+"""Vertex enumeration against the Fraction and per-ray oracles.
+
+enumerate_vertices reads incidence and dimension from the integer
+zero-masks of the double description, facet_defining_rows decides facets
+from incidence bitmasks, and _adjacent_pairs tests adjacency with ray
+bitsets.  Each is checked here against the slower route it replaced
+(tests/helpers.py) on graph polytopes and on random cut cubes with
+redundant rows.
+"""
+
+import random
+
+import pytest
+
+from graphtoric import polytope
+from graphtoric.graph_core import TrivalentGraph, multi_theta
+from graphtoric.polytope import (
+    NotFullDimensional,
+    brute_force_vertices,
+    build_hrep,
+    enumerate_vertices,
+    facet_defining_rows,
+)
+from helpers import (
+    echelon_facet_rows,
+    fraction_vpolytope,
+    random_trivalent_graph,
+    redundant_hsystem,
+    scan_adjacent_pairs,
+)
+
+
+def _random_graphs():
+    rng = random.Random(23)
+    # 2, 4 and 6 graph vertices give genus 2, 3 and 4
+    return {
+        f"random-g{n // 2 + 1}-{k}": random_trivalent_graph(rng, n)
+        for n in (2, 4, 6)
+        for k in range(3)
+    }
+
+
+GRAPHS = {
+    **{f"theta{g}": multi_theta(g) for g in range(2, 6)},
+    "dumbbell": TrivalentGraph(2, ((0, 0), (0, 1), (1, 1))),
+    "k4": TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    **_random_graphs(),
+}
+HSYSTEM_SEEDS = range(40)
+
+
+def _hsystem(seed):
+    rng = random.Random(seed)
+    return redundant_hsystem(rng, rng.randint(2, 4))
+
+
+@pytest.fixture
+def adjacency_steps(monkeypatch):
+    """Check every _adjacent_pairs call of DD against the per-ray scan;
+    the list collects the pair count of each insertion step."""
+    real = polytope._adjacent_pairs
+    steps = []
+
+    def checked(pos, neg, zmasks, processed, d, count):
+        got = list(real(pos, neg, zmasks, processed, d, count))
+        assert got == list(scan_adjacent_pairs(pos, neg, zmasks, processed, d, count))
+        steps.append(len(got))
+        return got
+
+    monkeypatch.setattr(polytope, "_adjacent_pairs", checked)
+    return steps
+
+
+def _check_against_oracles(h):
+    v = enumerate_vertices(h)
+    assert v == fraction_vpolytope(h, v.vertices)
+    if v.dim == h.dim:
+        assert facet_defining_rows(h, v) == echelon_facet_rows(h, v)
+    else:
+        with pytest.raises(NotFullDimensional):
+            facet_defining_rows(h, v)
+    return v
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_graph_polytopes_match_oracles(name, adjacency_steps):
+    v = _check_against_oracles(build_hrep(GRAPHS[name]))
+    assert v.dim == GRAPHS[name].n_edges
+    assert adjacency_steps
+
+
+@pytest.mark.parametrize("seed", HSYSTEM_SEEDS)
+def test_redundant_cut_cubes_match_oracles(seed, adjacency_steps):
+    h = _hsystem(seed)
+    v = _check_against_oracles(h)
+    assert brute_force_vertices(h) == v
+
+
+def test_cut_cubes_cover_redundant_and_flat_cases():
+    # the random systems must exercise what the combinatorial facet test
+    # has to get right: non-facet rows tight at some vertices, and
+    # polytopes that are not full-dimensional
+    redundant_tight = flat = 0
+    for seed in HSYSTEM_SEEDS:
+        h = _hsystem(seed)
+        v = enumerate_vertices(h)
+        if v.dim != h.dim:
+            flat += 1
+            continue
+        facets = set(facet_defining_rows(h, v))
+        tight = {i for t in v.incidence for i in t}
+        redundant_tight += bool(tight - facets)
+    assert flat >= 3
+    assert redundant_tight >= 10
