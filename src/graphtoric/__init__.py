@@ -8,7 +8,7 @@ computes all three exactly over the rationals and decides whether the
 associated toric variety is smooth.
 """
 
-from .exactmath import QMatrix, det, hnf, inverse, primitive, primitive_direction, rank, solve
+from .exactmath import QMatrix, det, hnf, inverse, primitive, primitive_direction, solve
 from .graph_core import (
     DegreeViolation,
     Disconnected,
@@ -17,7 +17,6 @@ from .graph_core import (
     GraphSyntaxError,
     TrivalentGraph,
     TrinionTriple,
-    genus,
     multi_theta,
     parse_graph,
     serialize_graph,
@@ -29,14 +28,12 @@ from .lattice_fan import (
     Fan,
     Lattice,
     LatticePolytopeVerdict,
-    SingularityReport,
     build_lattice,
     delzant_check,
     is_lattice_point,
     is_lattice_polytope,
     map_fan,
     normal_fan,
-    singularity_report,
 )
 from .polytope import (
     EdgeLabelling,
@@ -49,7 +46,6 @@ from .polytope import (
     build_hrep,
     contains,
     cube_vertex_labellings,
-    dimension,
     enumerate_vertices,
     facet_defining_rows,
     format_hrep,
@@ -75,7 +71,6 @@ __all__ = [
     "NotFullDimensional",
     "QMatrix",
     "SimplicityVerdict",
-    "SingularityReport",
     "TrinionTriple",
     "TrivalentGraph",
     "UnboundedPolytope",
@@ -88,12 +83,10 @@ __all__ = [
     "cube_vertex_labellings",
     "delzant_check",
     "det",
-    "dimension",
     "enumerate_vertices",
     "facet_defining_rows",
     "format_hrep",
     "format_vrep",
-    "genus",
     "hnf",
     "inverse",
     "is_lattice_point",
@@ -105,9 +98,7 @@ __all__ = [
     "parse_graph",
     "primitive",
     "primitive_direction",
-    "rank",
     "serialize_graph",
-    "singularity_report",
     "solve",
     "validate",
 ]

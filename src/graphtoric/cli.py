@@ -32,6 +32,8 @@ from .graph_core import (
 )
 from .lattice_fan import (
     ConsistencyError,
+    DelzantVerdict,
+    Lattice,
     apply_loop_free_guard,
     build_lattice,
     delzant_check,
@@ -187,24 +189,31 @@ def _point_str(p) -> str:
 
 @dataclass(frozen=True)
 class AnalysisArtifacts:
-    """Intermediate pipeline values kept around for exports and tests."""
+    """Intermediate pipeline values kept around for exports, batch rows
+    and tests.  The vertex-dependent ones are None when enumeration was
+    skipped."""
 
     graph: TrivalentGraph
     hrep: HPolytope
     vpoly: VPolytope | None
     facet_rows: tuple[int, ...] | None
+    lattice: Lattice
+    verdict: DelzantVerdict | None
 
 
 def analyze_graph(
     graph: TrivalentGraph, skip_vertex_enum: bool = False
 ) -> tuple[AnalysisReport, AnalysisArtifacts]:
-    """Run the pipeline; raises ConsistencyError on a guard breach."""
+    """Run every stage once, in the one place that sequences them.
+
+    Raises ConsistencyError on a guard breach.
+    """
     t0 = time.perf_counter()
     h = build_hrep(graph)
     labellings = cube_vertex_labellings(graph)
     lattice = build_lattice(graph)
     if skip_vertex_enum:
-        v = facet_rows = None
+        v = facet_rows = verdict = None
         affine_dim = facet_count = vertex_count = max_denom = None
         simple = simple_witness = lattice_poly = smooth = overall = None
     else:
@@ -243,7 +252,7 @@ def analyze_graph(
         overall=overall,
         elapsed_ms=elapsed_ms,
     )
-    return report, AnalysisArtifacts(graph, h, v, facet_rows)
+    return report, AnalysisArtifacts(graph, h, v, facet_rows, lattice, verdict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,26 +380,17 @@ def _cmd_batch(args, parser) -> int:
 
 
 def _batch_row(g: int) -> dict:
-    graph = multi_theta(g)
-    h = build_hrep(graph)
-    v = enumerate_vertices(h)
-    facet_rows = facet_defining_rows(h, v)
-    labellings = cube_vertex_labellings(graph)
-    lattice = build_lattice(graph)
-    verdict = delzant_check(h, v, lattice, facet_rows)
-    apply_loop_free_guard(graph, verdict)
-    origin = tuple(Fraction(0) for _ in range(h.dim))
-    oi = v.vertices.index(origin)
-    facet_set = set(facet_rows)
-    origin_facets = sum(1 for i in v.incidence[oi] if i in facet_set)
+    report, art = analyze_graph(multi_theta(g))
+    origin = art.vpoly.vertices.index((Fraction(0),) * art.hrep.dim)
+    origin_facets = len(set(art.facet_rows).intersection(art.vpoly.incidence[origin]))
     return {
         "g": g,
-        "cube_vertex_count": len(labellings),
-        "cube_count_ok": len(labellings) == 2**g,
+        "cube_vertex_count": report.cube_vertex_count,
+        "cube_count_ok": report.cube_vertex_count == 2**g,
         "origin_facet_count": origin_facets,
         # the 6g-6 count only holds from genus 3 up
         "origin_facet_ok": (origin_facets == 6 * g - 6) if g >= 3 else None,
-        "overall": verdict.overall,
+        "overall": report.overall,
     }
 
 

@@ -3,9 +3,9 @@
 Everything runs on fractions.Fraction and Python integers, so results are
 bit-for-bit reproducible across platforms; floating point input is
 rejected outright.  Determinants use fraction-free (Bareiss) elimination,
-rank and solve use rational Gaussian elimination with deterministic
-pivoting (first nonzero entry, smallest row index), and hnf returns a
-row-style Hermite normal form together with its unimodular transform.
+solve uses rational Gaussian elimination with deterministic pivoting
+(first nonzero entry, smallest row index), and hnf returns a row-style
+Hermite normal form together with its unimodular transform.
 """
 
 from __future__ import annotations
@@ -118,27 +118,6 @@ def det(m: QMatrix) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return Fraction(sign * a[n - 1][n - 1], scale)
-
-
-def rank(m: QMatrix) -> int:
-    """Exact rank by rational Gaussian elimination."""
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pval = rows[r][c]
-        for i in range(r + 1, nr):
-            if rows[i][c]:
-                f = rows[i][c] / pval
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,18 @@ class TrivalentGraph:
         )
         if self.n_vertices <= 0:
             raise GraphError("graph has no vertices")
-        degree = [0] * self.n_vertices
+        # Degrees live in a dict, so a huge vertex id costs no memory.  The
+        # scan stops within 2|E|+1 steps when some degree is wrong, and
+        # otherwise n <= 2|E| bounds every list sized by n below.
+        degree: dict[int, int] = {}
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside the vertex range")
-            degree[u] += 1
-            degree[v] += 1
-        for vertex, deg in enumerate(degree):
-            if deg != 3:
-                raise DegreeViolation(vertex, deg)
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        for vertex in range(self.n_vertices):
+            if degree.get(vertex, 0) != 3:
+                raise DegreeViolation(vertex, degree.get(vertex, 0))
         if not _connected(self.n_vertices, self.edges):
             raise Disconnected()
         if self.genus < 2:
@@ -119,10 +122,6 @@ def validate(edges: Iterable[tuple[int, int]], n_vertices: int | None = None) ->
     if n_vertices is None:
         n_vertices = max(max(u, v) for u, v in edge_list) + 1
     return TrivalentGraph(n_vertices, edge_list)
-
-
-def genus(graph: TrivalentGraph) -> int:
-    return graph.genus
 
 
 def multi_theta(g: int) -> TrivalentGraph:

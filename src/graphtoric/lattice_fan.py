@@ -24,14 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .exactmath import QMatrix, det, hnf, inverse, primitive_direction
 from .graph_core import TrivalentGraph
-from .polytope import (
-    HPolytope,
-    VPolytope,
-    build_hrep,
-    enumerate_vertices,
-    facet_defining_rows,
-    is_simple,
-)
+from .polytope import HPolytope, VPolytope, facet_defining_rows, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -261,16 +254,8 @@ def delzant_check(
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline with the loop-free guard
+# The loop-free guard
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SingularityReport:
-    genus: int
-    loop_free: bool
-    guard_applied: bool
-    verdict: DelzantVerdict
-
 
 def apply_loop_free_guard(graph: TrivalentGraph, verdict: DelzantVerdict) -> bool:
     """For loop-free graphs of genus >= 3 the verdict must be SINGULAR;
@@ -284,13 +269,3 @@ def apply_loop_free_guard(graph: TrivalentGraph, verdict: DelzantVerdict) -> boo
             "this contradicts the non-simplicity of its origin vertex"
         )
     return applies
-
-
-def singularity_report(graph: TrivalentGraph) -> SingularityReport:
-    """Run the whole pipeline on a graph and guard the verdict."""
-    h = build_hrep(graph)
-    v = enumerate_vertices(h)
-    lattice = build_lattice(graph)
-    verdict = delzant_check(h, v, lattice, facet_defining_rows(h, v))
-    guard = apply_loop_free_guard(graph, verdict)
-    return SingularityReport(graph.genus, graph.is_loop_free(), guard, verdict)

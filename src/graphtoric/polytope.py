@@ -160,10 +160,6 @@ class VPolytope:
     incidence: tuple[tuple[int, ...], ...]
 
 
-def dimension(v: VPolytope) -> int:
-    return v.dim
-
-
 def _homogeneous_rows(h: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
     """Distinct rows (b, -a) of the homogenising cone, sorted, with the
     extra row t >= 0; and per row the bitmask of the H-rows it came from.

@@ -5,9 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, multi_theta
-from graphtoric.lattice_fan import build_lattice, delzant_check
-from graphtoric.polytope import build_hrep, enumerate_vertices, facet_defining_rows
 
 
 @pytest.fixture(scope="session")
@@ -36,15 +35,16 @@ def k4():
 
 
 class Bundle:
-    """One graph taken through the whole pipeline, computed once."""
+    """One graph taken through the whole pipeline (analyze_graph), once."""
 
     def __init__(self, graph):
-        self.graph = graph
-        self.h = build_hrep(graph)
-        self.v = enumerate_vertices(self.h)
-        self.facet_rows = facet_defining_rows(self.h, self.v)
-        self.lattice = build_lattice(graph)
-        self.verdict = delzant_check(self.h, self.v, self.lattice, self.facet_rows)
+        _, art = analyze_graph(graph)
+        self.graph = art.graph
+        self.h = art.hrep
+        self.v = art.vpoly
+        self.facet_rows = art.facet_rows
+        self.lattice = art.lattice
+        self.verdict = art.verdict
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,6 @@ from graphtoric.polytope import (
     build_hrep,
     contains,
     cube_vertex_labellings,
-    dimension,
     enumerate_vertices,
     facet_defining_rows,
     is_simple,
@@ -153,7 +152,7 @@ def test_criterion_7_dimension():
         ok = True
         for graph in (multi_theta(2), multi_theta(3), multi_theta(4), K4, DUMBBELL):
             v = enumerate_vertices(build_hrep(graph))
-            ok = ok and dimension(v) == graph.n_edges == 3 * graph.genus - 3
+            ok = ok and v.dim == graph.n_edges == 3 * graph.genus - 3
     _criterion(7, "polytopes are full-dimensional", ok, t.elapsed, 60)
 
 

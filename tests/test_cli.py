@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import graphtoric.cli as cli
+from graphtoric import lattice_fan, polytope
 from graphtoric.cli import AnalysisReport, analyze_graph, main
 from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
 from graphtoric.polytope import VPolytope
@@ -204,6 +205,51 @@ class TestBatch:
         captured = capsys.readouterr()
         assert [json.loads(line)["g"] for line in captured.out.splitlines()] == [2]
         assert "internal contradiction: routes disagree" in captured.err
+
+
+STAGES = (
+    "build_hrep",
+    "cube_vertex_labellings",
+    "build_lattice",
+    "enumerate_vertices",
+    "facet_defining_rows",
+    "delzant_check",
+)
+
+
+def _counting(calls, name, real):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls per stage, counted wherever a graphtoric module binds it, so
+    a stage recomputed inside another (a missing facet_rows) shows too."""
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        real = getattr(cli, name)
+        for module in (cli, polytope, lattice_fan):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, _counting(calls, name, real))
+    return calls
+
+
+class TestStagesRunOnce:
+    def test_batch(self, stage_calls, capsys):
+        assert main(["batch", "2", "4", "--json"]) == 0
+        assert stage_calls == dict.fromkeys(STAGES, 3)
+
+    def test_analyze_graph(self, stage_calls, theta3):
+        analyze_graph(theta3)
+        assert stage_calls == dict.fromkeys(STAGES, 1)
+
+    def test_skip_vertex_enum(self, stage_calls, theta3):
+        analyze_graph(theta3, skip_vertex_enum=True)
+        assert stage_calls == {name: int(name in STAGES[:3]) for name in STAGES}
 
 
 class TestReportValue:

@@ -14,7 +14,6 @@ from graphtoric.exactmath import (
     inverse,
     primitive,
     primitive_direction,
-    rank,
     solve,
 )
 from helpers import cofactor_det, gauss_rank, gauss_solve
@@ -167,12 +166,6 @@ def rect_matrices(draw, max_n=6):
 @given(square_matrices())
 def test_det_matches_cofactor_oracle(rows):
     assert det(mat(rows)) == cofactor_det(rows)
-
-
-@settings(deadline=None)
-@given(rect_matrices())
-def test_rank_matches_gauss_oracle(rows):
-    assert rank(mat(rows)) == gauss_rank(rows)
 
 
 @settings(deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from graphtoric.graph_core import (
@@ -6,7 +8,6 @@ from graphtoric.graph_core import (
     GraphError,
     GraphSyntaxError,
     TrivalentGraph,
-    genus,
     multi_theta,
     parse_graph,
     serialize_graph,
@@ -44,7 +45,7 @@ class TestValidation:
         assert g.n_vertices == 2
 
     def test_genus_function(self, k4):
-        assert genus(k4) == 3
+        assert k4.genus == 3
 
     def test_wrong_degree(self):
         with pytest.raises(DegreeViolation) as e:
@@ -57,6 +58,19 @@ class TestValidation:
             validate([(0, 1), (0, 1), (0, 1)], n_vertices=3)
         assert e.value.vertex == 2
         assert e.value.degree == 0
+
+    def test_huge_vertex_id_is_refused_without_allocating(self):
+        # the vertex count is inferred as the largest id + 1; the degree
+        # check must not allocate per vertex before it can fail
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegreeViolation) as e:
+                parse_graph("0 1\n0 1\n0 1000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (e.value.vertex, e.value.degree) == (1, 2)
+        assert peak < 1_000_000
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphtoric.exactmath import QMatrix, rank
+from graphtoric.exactmath import QMatrix
 from graphtoric.lattice_fan import (
     SINGULAR,
     SMOOTH,
@@ -17,10 +17,9 @@ from graphtoric.lattice_fan import (
     is_lattice_polytope,
     map_fan,
     normal_fan,
-    singularity_report,
 )
 from graphtoric.polytope import HPolytope, enumerate_vertices
-from helpers import gf2_rank, random_trivalent_graph, trinion_parity_vectors
+from helpers import gauss_rank, gf2_rank, random_trivalent_graph, trinion_parity_vectors
 
 F = Fraction
 
@@ -165,7 +164,7 @@ class TestNormalFan:
             fan = normal_fan(b.h, b.v, b.facet_rows)
             assert len(fan.maximal_cones) == len(b.v.vertices)
             for cone in fan.maximal_cones:
-                assert rank(QMatrix([fan.rays[i] for i in cone])) == fan.dim
+                assert gauss_rank([fan.rays[i] for i in cone]) == fan.dim
 
 
 class TestMapFan:
@@ -250,11 +249,12 @@ class TestDelzantCheck:
 
 
 class TestSingularityReport:
-    def test_guard_applied_only_loop_free_high_genus(self, theta2, theta3, dumbbell, k4):
-        assert singularity_report(theta2).guard_applied is False
-        assert singularity_report(dumbbell).guard_applied is False
-        assert singularity_report(theta3).guard_applied is True
-        assert singularity_report(k4).guard_applied is True
+    def test_guard_applied_only_loop_free_high_genus(self, bundles):
+        for name, applied in (
+            ("theta2", False), ("dumbbell", False), ("theta3", True), ("k4", True)
+        ):
+            b = bundles[name]
+            assert apply_loop_free_guard(b.graph, b.verdict) is applied
 
     def test_guard_raises_on_contradiction(self, k4):
         fake = DelzantVerdict(
