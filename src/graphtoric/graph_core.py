@@ -81,7 +81,7 @@ class TrivalentGraph:
         for vertex in range(self.n_vertices):
             if degree.get(vertex, 0) != 3:
                 raise DegreeViolation(vertex, degree.get(vertex, 0))
-        if not _connected(self.n_vertices, self.edges):
+        if None in _tree_paths(self.n_vertices, self.edges):
             raise Disconnected()
         if self.genus < 2:
             raise GenusTooSmall(self.genus)
@@ -96,6 +96,17 @@ class TrivalentGraph:
 
     def is_loop_free(self) -> bool:
         return all(u != v for u, v in self.edges)
+
+    def cycle_basis(self) -> list[int]:
+        """The fundamental cycles of the spanning tree, as edge bitmasks.
+
+        A non-tree edge closes one cycle with the tree paths to its ends,
+        and a loop is a cycle on its own.  The genus many masks span, over
+        GF(2), the edge sets meeting each vertex evenly (loops twice).
+        """
+        path = _tree_paths(self.n_vertices, self.edges)
+        masks = [(1 << i) ^ path[u] ^ path[v] for i, (u, v) in enumerate(self.edges)]
+        return [mask for mask in masks if mask]
 
     def trinion_triples(self) -> list[TrinionTriple]:
         """One sorted triple of incident edge indices per vertex."""
@@ -174,20 +185,20 @@ def serialize_graph(graph: TrivalentGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in graph.edges)
 
 
-def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = [False] * n
-    seen[0] = True
+def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> list[int | None]:
+    """Per vertex, the bitmask of the spanning-tree edges on its path from
+    vertex 0, or None when the walk from vertex 0 does not reach it."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for index, (u, v) in enumerate(edges):
+        adjacency[u].append((v, index))
+        adjacency[v].append((u, index))
+    path: list[int | None] = [None] * n
+    path[0] = 0
     stack = [0]
-    count = 1
     while stack:
         x = stack.pop()
-        for y in adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
+        for y, index in adjacency[x]:
+            if path[y] is None:
+                path[y] = path[x] ^ (1 << index)
                 stack.append(y)
-    return count == n
+    return path

@@ -40,10 +40,6 @@ from .graph_core import TrivalentGraph
 KIND_SUM = "sum"
 KIND_TRI = ("tri0", "tri1", "tri2")
 
-# The corners of the pair-of-pants tetrahedron, used to recognise 0/1
-# edge labellings that give cube vertices of the big polytope.
-_TET_CORNERS = {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
-
 
 class NotFullDimensional(Exception):
     """Operation requires a polytope of full affine dimension."""
@@ -437,31 +433,17 @@ class EdgeLabelling:
 def cube_vertex_labellings(graph: TrivalentGraph) -> list[EdgeLabelling]:
     """All admissible 0/1 edge labellings, in lexicographic label order.
 
-    Backtracks over edges in index order, pruning as soon as all three
-    slots of some triple are assigned.  Every labelling read as a 0/1
-    point is a vertex of the polytope lying on the unit cube.
+    A triple is a tetrahedron corner exactly when it holds an even number
+    of ones, so the admissible labellings are the graph's GF(2) cycle
+    space: the 2^g sums of ``graph.cycle_basis()``.  Every labelling read
+    as a 0/1 point is a vertex of the polytope lying on the unit cube.
     """
+    span = [0]
+    for cycle in graph.cycle_basis():
+        span += [mask ^ cycle for mask in span]
     m = graph.n_edges
-    triples_by_last: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for triple in graph.trinion_triples():
-        triples_by_last[max(triple.edges)].append(triple.edges)
-    labels = [0] * m
-    out: list[EdgeLabelling] = []
-
-    def extend(i: int) -> None:
-        if i == m:
-            out.append(EdgeLabelling(tuple(labels)))
-            return
-        for value in (0, 1):
-            labels[i] = value
-            if all(
-                tuple(labels[e] for e in t) in _TET_CORNERS
-                for t in triples_by_last[i]
-            ):
-                extend(i + 1)
-
-    extend(0)
-    return out
+    labels = sorted(tuple((mask >> i) & 1 for i in range(m)) for mask in span)
+    return [EdgeLabelling(x) for x in labels]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphtoric
 import graphtoric.cli as cli
 from graphtoric import lattice_fan, polytope
 from graphtoric.cli import AnalysisReport, analyze_graph, main
@@ -43,6 +48,17 @@ class TestTheta:
 
     def test_unwritable_output_is_input_error(self, tmp_path):
         assert main(["theta", "2", "-o", str(tmp_path / "no" / "dir.graph")]) == 2
+
+    def test_python_dash_m_runs_the_cli_without_warnings(self, tmp_path):
+        source_root = str(Path(graphtoric.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=source_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "graphtoric", "theta", "2"],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "0 1\n0 1\n0 1\n"
+        assert done.stderr == ""
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from graphtoric.graph_core import (
     serialize_graph,
     validate,
 )
+from helpers import gf2_rank, random_trivalent_graph
 
 
 class TestMultiTheta:
@@ -83,6 +85,35 @@ class TestValidation:
     def test_loops_count_twice(self, dumbbell):
         # loop at 0 plus the bridge gives degree 3, not 2
         assert dumbbell.genus == 2
+
+
+class TestCycleBasis:
+    @pytest.fixture(scope="class")
+    def graphs(self, theta2, theta3, theta4, dumbbell, k4):
+        rng = random.Random(23)
+        sizes = (2, 4, 6, 8, 10, 12, 22)
+        randoms = [random_trivalent_graph(rng, n) for n in sizes for _ in range(4)]
+        return [theta2, theta3, theta4, dumbbell, k4, multi_theta(9), *randoms]
+
+    def test_genus_many_masks(self, graphs):
+        for graph in graphs:
+            assert len(graph.cycle_basis()) == graph.genus
+
+    def test_masks_are_independent(self, graphs):
+        for graph in graphs:
+            bits = range(graph.n_edges)
+            vectors = [[mask >> i & 1 for i in bits] for mask in graph.cycle_basis()]
+            assert gf2_rank(vectors) == graph.genus
+
+    def test_every_vertex_has_even_degree(self, graphs):
+        for graph in graphs:
+            for mask in graph.cycle_basis():
+                degree = [0] * graph.n_vertices
+                for i, (u, v) in enumerate(graph.edges):
+                    if mask >> i & 1:
+                        degree[u] += 1
+                        degree[v] += 1
+                assert all(d % 2 == 0 for d in degree), (graph.edges, bin(mask))
 
 
 class TestTrinionTriples:

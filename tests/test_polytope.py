@@ -242,10 +242,22 @@ class TestCubeVertexLabellings:
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(11)
-        for _ in range(10):
-            graph = random_trivalent_graph(rng, rng.choice((2, 4)))
-            got = {lab.labels for lab in cube_vertex_labellings(graph)}
-            assert got == set(exhaustive_labellings(graph))
+        graphs = [random_trivalent_graph(rng, rng.choice((2, 4))) for _ in range(10)]
+        graphs += [random_trivalent_graph(rng, 6) for _ in range(10)]
+        for graph in graphs:
+            got = [lab.labels for lab in cube_vertex_labellings(graph)]
+            assert got == exhaustive_labellings(graph)
+
+    def test_genus_twelve(self):
+        corners = {(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        rng = random.Random(12)
+        graphs = [multi_theta(12)] + [random_trivalent_graph(rng, 22) for _ in range(3)]
+        for graph in graphs:
+            labs = [lab.labels for lab in cube_vertex_labellings(graph)]
+            assert len(labs) == 2**12
+            assert all(a < b for a, b in zip(labs, labs[1:]))
+            for triple in graph.trinion_triples():
+                assert all(tuple(x[e] for e in triple.edges) in corners for x in labs)
 
     def test_loop_forces_partner_zero(self, dumbbell):
         for lab in cube_vertex_labellings(dumbbell):
