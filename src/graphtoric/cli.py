@@ -411,3 +411,7 @@ def main(argv=None) -> int:
     except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

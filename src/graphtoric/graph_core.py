@@ -172,9 +172,12 @@ def parse_graph(text: str) -> TrivalentGraph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise GraphSyntaxError(line_no, raw.strip())
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:  # more digits than int() converts
+            raise GraphSyntaxError(line_no, raw.strip()) from None
     if not edges:
         raise GraphError("no edges found in graph text")
     return validate(edges)

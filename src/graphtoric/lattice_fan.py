@@ -3,8 +3,12 @@
 The lattice attached to a trivalent graph is generated by the standard
 basis of Z^n together with one half-sum vector per graph vertex, built
 from that vertex's trinion triple (a loop contributes its edge twice, so
-the half-sum picks up a whole step in the loop coordinate).  A reduced
-basis comes from Hermite normal form after clearing the denominator 2.
+the half-sum picks up a whole step in the loop coordinate).  Twice the
+lattice is {y in Z^n : y mod 2 lies in the GF(2) span of the trinion
+parity masks}, the graph's cut space, so a reduced GF(2) echelon basis
+of the masks gives the triangular basis directly, and the covolume is
+2^-(|V|-1).  Membership is integer forward substitution through the
+triangular basis.
 
 Smoothness is decided on the polytope side.  At each vertex of a simple
 polytope the edge directions to its neighbours are expressed through the
@@ -19,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple, Sequence
 
-from .exactmath import QMatrix, det, hnf, inverse, primitive_direction
+from .exactmath import QMatrix, det, hnf, primitive_direction
 from .graph_core import TrivalentGraph
 from .polytope import HPolytope, VPolytope, facet_defining_rows, is_simple
 
@@ -37,15 +41,23 @@ class ConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank lattice in Q^n with a triangular reduced basis.
+    """A full-rank lattice in Q^n with an upper-triangular basis.
 
     ``generators`` is the raw generating set; ``basis`` holds one basis
-    vector per row.  Both span the same group.
+    vector per row, zero left of a nonzero diagonal.  Both span the same
+    group.
     """
 
     dim: int
     generators: tuple[tuple[Fraction, ...], ...]
     basis: QMatrix
+
+    def __post_init__(self):
+        if self.basis.nrows != self.dim or any(
+            len(row) != self.dim or not row[i].numerator or any(x.numerator for x in row[:i])
+            for i, row in enumerate(self.basis.rows)
+        ):
+            raise ValueError("basis must be square, upper-triangular, with a nonzero diagonal")
 
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence]) -> "Lattice":
@@ -64,38 +76,53 @@ class Lattice:
         return cls(n, gens, basis)
 
     @cached_property
-    def covolume(self) -> Fraction:
-        return abs(det(self.basis))
+    def _integer_basis(self) -> tuple[int, list[list[int]]]:
+        s = lcm(*(x.denominator for row in self.basis.rows for x in row))
+        return s, [[x.numerator * (s // x.denominator) for x in row] for row in self.basis.rows]
 
     @cached_property
-    def _inverse_t(self) -> QMatrix:
-        return inverse(self.basis).transpose()
-
-    def coordinates(self, x: Sequence) -> tuple[Fraction, ...]:
-        """Coefficients c with x = sum c_i * basis_i."""
-        point = tuple(Fraction(v) for v in x)
-        if len(point) != self.dim:
-            raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        return self._inverse_t.apply(point)
+    def covolume(self) -> Fraction:
+        return abs(prod(row[i] for i, row in enumerate(self.basis.rows)))
 
 
 def build_lattice(graph: TrivalentGraph) -> Lattice:
-    """Lattice of a trivalent graph: Z^n plus the trinion half-sums."""
+    """Lattice of a trivalent graph: Z^n plus the trinion half-sums.  Its
+    basis is c/2 at the pivot (lowest bit) of each mask c of the reduced GF(2)
+    echelon basis of the trinion parity masks, and e_j at every other j."""
     n = graph.n_edges
-    half = Fraction(1, 2)
-    generators = [
-        tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)
-    ]
+    value = (Fraction(0), Fraction(1, 2), Fraction(1))  # by the count of halves
+    generators = [tuple(value[2 * (i == k)] for i in range(n)) for k in range(n)]
+    echelon: dict[int, int] = {}  # pivot -> mask, each clear at the other pivots
     for triple in graph.trinion_triples():
-        vec = [Fraction(0)] * n
-        for index in triple.edges:
-            vec[index] += half
-        generators.append(tuple(vec))
-    return Lattice.from_generators(generators)
+        halves = [triple.edges.count(i) for i in range(n)]
+        generators.append(tuple(value[c] for c in halves))
+        mask = sum(1 << i for i, c in enumerate(halves) if c == 1)
+        for pivot, other in echelon.items():
+            if mask >> pivot & 1:
+                mask ^= other
+        if mask:
+            pivot = (mask & -mask).bit_length() - 1
+            echelon = {q: m ^ mask if m >> pivot & 1 else m for q, m in echelon.items()}
+            echelon[pivot] = mask
+    half = {j: tuple(value[m >> i & 1] for i in range(n)) for j, m in echelon.items()}
+    return Lattice(n, tuple(generators), QMatrix(half.get(j, generators[j]) for j in range(n)))
 
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
-    return all(c.denominator == 1 for c in lattice.coordinates(x))
+    """Whether rational x is an integer combination of the basis rows: forward
+    substitution through k*s*basis in Z, k and s the lcm of the denominators
+    of x and of the basis."""
+    if len(x) != lattice.dim:
+        raise ValueError(f"point has length {len(x)}, expected {lattice.dim}")
+    s, rows = lattice._integer_basis
+    k = lcm(*(v.denominator for v in x))
+    y = [v.numerator * (k // v.denominator) * s for v in x]
+    for i, row in enumerate(rows):
+        c, r = divmod(y[i], k * row[i])
+        if r:
+            return False
+        y = [a - c * k * b for a, b in zip(y, row)]
+    return True
 
 
 class LatticePolytopeVerdict(NamedTuple):
@@ -105,10 +132,8 @@ class LatticePolytopeVerdict(NamedTuple):
 
 def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdict:
     """True iff every vertex lies in the lattice; else first bad vertex."""
-    for vertex in v.vertices:
-        if not is_lattice_point(vertex, lattice):
-            return LatticePolytopeVerdict(False, vertex)
-    return LatticePolytopeVerdict(True, None)
+    bad = next((p for p in v.vertices if not is_lattice_point(p, lattice)), None)
+    return LatticePolytopeVerdict(bad is None, bad)
 
 
 # ---------------------------------------------------------------------------

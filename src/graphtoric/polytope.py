@@ -24,14 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactmath import (
-    EchelonBasis,
-    QMatrix,
-    UNIQUE,
-    inverse,
-    primitive_direction,
-    solve,
-)
+from .exactmath import QMatrix, UNIQUE, primitive_direction, solve
 from .graph_core import TrivalentGraph
 
 # Provenance kinds for rows built from a trinion triple: "sum" is the
@@ -92,11 +85,8 @@ class HPolytope:
 
 
 def _normalize_row(a: Sequence, b) -> tuple[tuple[int, ...], int] | None:
-    coeffs = [Fraction(x) for x in a]
-    rhs = Fraction(b)
-    mult = lcm(*(x.denominator for x in coeffs + [rhs]))
-    ints = [int(x * mult) for x in coeffs]
-    rb = int(rhs * mult)
+    mult = lcm(*(x.denominator for x in (*a, b)))
+    *ints, rb = [x.numerator * (mult // x.denominator) for x in (*a, b)]
     g = gcd(*ints, rb)
     if g == 0:
         return None  # 0 <= 0
@@ -209,28 +199,58 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of integer vectors by fraction-free elimination.
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
-    Each basis row is kept primitive and zero left of its pivot; a new
-    vector is cleared at each pivot by an integer cross-multiplication.
-    """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row), by pivot
-    for vec in vectors:
-        v = list(vec)
-        for piv, row in basis:
-            if v[piv]:
-                a, b = row[piv], v[piv]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        g = gcd(*v)
-        basis.append((piv, [x // g for x in v]))
+
+def _echelon_insert(basis: list[tuple[int, Sequence[int]]], vec: Sequence[int], width: int) -> bool:
+    """Clear vec at each pivot of ``basis`` (sorted by pivot; rows primitive,
+    zero left of the pivot) by integer cross-multiplication, then add it and
+    return True if any of its first ``width`` entries is left nonzero."""
+    for piv, row in basis:
+        if vec[piv]:
+            a, b = row[piv], vec[piv]
+            vec = [a * x - b * y for x, y in zip(vec, row)]
+    piv = next((i for i in range(width) if vec[i]), None)
+    if piv is not None:
+        basis.append((piv, _primitive(vec)))
         basis.sort(key=lambda t: t[0])
-        if len(basis) == len(v):
+    return piv is not None
+
+
+def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
+    basis: list[tuple[int, Sequence[int]]] = []
+    for vec in vectors:
+        if _echelon_insert(basis, vec, len(vec)) and len(basis) == len(vec):
             break
     return len(basis)
+
+
+def _initial_cone(rows: Sequence[Sequence[int]], d: int) -> tuple[list[int], list[tuple]]:
+    """The first d independent rows B, in order, and the primitive rays of
+    their cone: ray k is column k of inv(B), tight on every row but the k-th.
+
+    Each row enters with a unit vector appended, so a basis row reads U | T
+    with T*B = U.  Inserted again from the last pivot up, U loses all but its
+    diagonal D (integer Gauss-Jordan), leaving T = D*inv(B)."""
+    basis: list[tuple[int, Sequence[int]]] = []
+    initial: list[int] = []
+    for j, row in enumerate(rows):
+        if _echelon_insert(basis, [*row, *(int(k == len(initial)) for k in range(d))], d):
+            initial.append(j)
+            if len(initial) == d:
+                break
+    if len(initial) < d:
+        raise UnboundedPolytope(
+            "inequality system is invariant along a direction; it has no vertices"
+        )
+    diagonal: list[tuple[int, Sequence[int]]] = []
+    for _, row in reversed(basis):
+        _echelon_insert(diagonal, row, d)
+    scale = lcm(*(row[piv] for piv, row in diagonal))
+    scaled_inverse = [[x * (scale // row[piv]) for x in row[d:]] for piv, row in diagonal]
+    return initial, [_primitive(col) for col in zip(*scaled_inverse)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +262,10 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 
     The system is homogenised to the cone {(t, x) : t >= 0, b*t - a.x >= 0}
     in dimension n+1 and the extreme rays are grown one inequality at a
-    time from an initial simplicial cone, in lexicographic row order.
-    Rays are primitive integer vectors, so all arithmetic stays in Z.
+    time, in lexicographic row order, from the simplicial cone of the
+    first n+1 independent rows (fraction-free elimination, then integer
+    Gauss-Jordan; see _initial_cone).  Rays are primitive integer
+    vectors, so all arithmetic stays in Z.
     Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
     means the polytope is unbounded, which is reported as an error.
     Incidence and dimension come from the final rays and their zero-masks.
@@ -253,24 +275,10 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     d = n + 1
     m = len(rows)
 
-    basis = EchelonBasis()
-    initial = []
-    for j in range(m):
-        if basis.add(rows[j]):
-            initial.append(j)
-            if basis.rank == d:
-                break
-    if len(initial) < d:
-        raise UnboundedPolytope(
-            "inequality system is invariant along a direction; it has no vertices"
-        )
-    binv = inverse(QMatrix([rows[j] for j in initial]))
-    rays = [primitive_direction(col) for col in zip(*binv.rows)]
+    initial, rays = _initial_cone(rows, d)
     dots = [[_idot(ray, row) for row in rows] for ray in rays]
     zmasks = [_zero_mask(dot) for dot in dots]
-    processed = 0
-    for j in initial:
-        processed |= 1 << j
+    processed = sum(1 << j for j in initial)
 
     for j in range(m):
         if processed >> j & 1:

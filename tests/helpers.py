@@ -3,19 +3,27 @@
 The oracles here deliberately re-derive results with different
 algorithms than the package (cofactor determinants, abs-pivot Gaussian
 elimination, exhaustive labelling search, GF(2) bit elimination, and the
-Fraction and per-ray routes that vertex enumeration used before it kept
-to integer zero-masks) so that agreement is meaningful.
+Fraction and per-ray routes that vertex enumeration and the lattice used
+before they kept to integers) so that agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import cProfile
+import fractions
 import itertools
 import random
 from fractions import Fraction
 
-from graphtoric.exactmath import EchelonBasis
+from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direction
 from graphtoric.graph_core import GraphError, TrivalentGraph
-from graphtoric.polytope import HPolytope, NotFullDimensional, VPolytope, contains
+from graphtoric.polytope import (
+    HPolytope,
+    NotFullDimensional,
+    UnboundedPolytope,
+    VPolytope,
+    contains,
+)
 
 
 def random_trivalent_graph(rng: random.Random, n_vertices: int) -> TrivalentGraph:
@@ -144,6 +152,55 @@ def scan_adjacent_pairs(pos, neg, zmasks, processed, d, count):
             ):
                 continue
             yield p, q
+
+
+def fraction_initial_cone(rows, d):
+    """The double description's initial rows and rays by the Fraction route
+    it replaced: EchelonBasis picks the first d independent rows, and the
+    rays are the primitive columns of their inverse."""
+    basis = EchelonBasis()
+    initial = []
+    for j, row in enumerate(rows):
+        if basis.add(row):
+            initial.append(j)
+            if basis.rank == d:
+                break
+    if len(initial) < d:
+        raise UnboundedPolytope("rows of rank below d")
+    binv = inverse(QMatrix([rows[j] for j in initial]))
+    return initial, [primitive_direction(col) for col in zip(*binv.rows)]
+
+
+# ---------------------------------------------------------------------------
+# Lattice oracles
+# ---------------------------------------------------------------------------
+
+def inverse_lattice_member(x, lattice) -> bool:
+    """Membership by the coordinates inverse(basis)^T x, all integral."""
+    coordinates = inverse(lattice.basis).transpose().apply(x)
+    return all(c.denominator == 1 for c in coordinates)
+
+
+# The functions of fractions.py that are one Fraction operation each, as
+# the benchmark's tracer counts them.
+FRACTION_OPS = frozenset({
+    "__new__", "_add", "_sub", "_mul", "_div", "_floordiv", "_divmod", "_mod",
+    "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__", "__eq__",
+    "_richcmp", "__bool__", "__hash__",
+})
+
+
+def fraction_calls(fn, *args) -> int:
+    """Fraction operator calls made by fn(*args), counted with cProfile."""
+    profiler = cProfile.Profile()
+    profiler.runcall(fn, *args)
+    return sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str)
+        and entry.code.co_filename == fractions.__file__
+        and entry.code.co_name in FRACTION_OPS
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ class TestTheta:
         assert done.stdout == "0 1\n0 1\n0 1\n"
         assert done.stderr == ""
 
+    @pytest.mark.parametrize("genus, code, out", [("2", 0, "0 1\n0 1\n0 1\n"), ("1", 1, "")])
+    def test_python_dash_m_cli_module_runs_main(self, tmp_path, genus, code, out):
+        # runpy may warn on stderr that graphtoric.cli was imported first
+        source_root = str(Path(graphtoric.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=source_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "graphtoric.cli", "theta", genus],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert done.returncode == code
+        assert done.stdout == out
+
 
 class TestAnalyze:
     def test_human_report(self, capsys):

@@ -1,21 +1,25 @@
 """Vertex enumeration against the Fraction and per-ray oracles.
 
-enumerate_vertices reads incidence and dimension from the integer
-zero-masks of the double description, facet_defining_rows decides facets
-from incidence bitmasks, and _adjacent_pairs tests adjacency with ray
-bitsets.  Each is checked here against the slower route it replaced
-(tests/helpers.py) on graph polytopes and on random cut cubes with
-redundant rows.
+enumerate_vertices starts from an initial cone found by fraction-free
+elimination and integer Gauss-Jordan, reads incidence and dimension from
+the integer zero-masks of the double description, facet_defining_rows
+decides facets from incidence bitmasks, and _adjacent_pairs tests
+adjacency with ray bitsets.  Each is checked here against the slower
+route it replaced (tests/helpers.py) on graph polytopes and on random cut
+cubes with redundant rows.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from graphtoric import polytope
 from graphtoric.graph_core import TrivalentGraph, multi_theta
 from graphtoric.polytope import (
+    HPolytope,
     NotFullDimensional,
+    UnboundedPolytope,
     brute_force_vertices,
     build_hrep,
     enumerate_vertices,
@@ -23,6 +27,8 @@ from graphtoric.polytope import (
 )
 from helpers import (
     echelon_facet_rows,
+    fraction_calls,
+    fraction_initial_cone,
     fraction_vpolytope,
     random_trivalent_graph,
     redundant_hsystem,
@@ -72,6 +78,8 @@ def adjacency_steps(monkeypatch):
 
 
 def _check_against_oracles(h):
+    rows, _ = polytope._homogeneous_rows(h)
+    assert polytope._initial_cone(rows, h.dim + 1) == fraction_initial_cone(rows, h.dim + 1)
     v = enumerate_vertices(h)
     assert v == fraction_vpolytope(h, v.vertices)
     if v.dim == h.dim:
@@ -112,3 +120,20 @@ def test_cut_cubes_cover_redundant_and_flat_cases():
         redundant_tight += bool(tight - facets)
     assert flat >= 3
     assert redundant_tight >= 10
+
+
+def test_initial_cone_of_a_slab_is_refused_by_both_routes():
+    # 0 <= x <= 1 in the plane is invariant along y: rank 2 < d = 3
+    h = HPolytope.from_inequalities(2, [((1, 0), 1), ((-1, 0), 0)])
+    rows, _ = polytope._homogeneous_rows(h)
+    with pytest.raises(UnboundedPolytope):
+        fraction_initial_cone(rows, 3)
+    with pytest.raises(UnboundedPolytope):
+        polytope._initial_cone(rows, 3)
+
+
+def test_hrep_and_initial_cone_build_no_fraction():
+    assert fraction_calls(lambda: Fraction(1, 2) + 1) > 0  # the counter counts
+    assert fraction_calls(build_hrep, multi_theta(8)) == 0
+    rows, _ = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
+    assert fraction_calls(polytope._initial_cone, rows, len(rows[0])) == 0

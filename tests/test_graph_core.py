@@ -163,3 +163,12 @@ class TestFileFormat:
     def test_wrong_field_count_rejected(self):
         with pytest.raises(GraphSyntaxError):
             parse_graph("0 1 2\n")
+
+    # str.isdigit() accepts superscripts and non-ASCII decimal digits, and
+    # int() refuses more than 4300 digits; each is a syntax error, not a
+    # bare ValueError or another vertex id
+    @pytest.mark.parametrize("token", ["1²", "²", "٣", "１", "1" * 5000])
+    def test_non_ascii_or_oversized_digits_rejected(self, token):
+        with pytest.raises(GraphSyntaxError) as e:
+            parse_graph(f"0 1\n{token} 0\n0 1\n")
+        assert e.value.line_no == 2

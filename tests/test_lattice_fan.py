@@ -19,7 +19,13 @@ from graphtoric.lattice_fan import (
     normal_fan,
 )
 from graphtoric.polytope import HPolytope, enumerate_vertices
-from helpers import gauss_rank, gf2_rank, random_trivalent_graph, trinion_parity_vectors
+from helpers import (
+    gauss_rank,
+    gf2_rank,
+    inverse_lattice_member,
+    random_trivalent_graph,
+    trinion_parity_vectors,
+)
 
 F = Fraction
 
@@ -105,7 +111,81 @@ class TestLattice:
 
     def test_coordinates_length_check(self, theta2):
         with pytest.raises(ValueError):
-            build_lattice(theta2).coordinates((0, 0))
+            is_lattice_point((0, 0), build_lattice(theta2))
+
+
+def _seeded_graphs(count=300, seed=61):
+    """Random trivalent multigraphs of 2 to 12 vertices (genus 2 to 7)."""
+    rng = random.Random(seed)
+    return [random_trivalent_graph(rng, rng.choice(range(2, 13, 2))) for _ in range(count)]
+
+
+def _random_point(rng, n, denominators=(1, 2, 4)):
+    return tuple(F(rng.randint(-4, 4), rng.choice(denominators)) for _ in range(n))
+
+
+class TestLatticeOracles:
+    """build_lattice's GF(2) basis and integer membership against the HNF
+    and inverse-matrix routes they replaced."""
+
+    def test_basis_is_the_hermite_basis(self, theta2, theta3, theta4, dumbbell, k4):
+        graphs = [theta2, theta3, theta4, dumbbell, k4] + _seeded_graphs()
+        assert sum(not g.is_loop_free() for g in graphs) >= 100
+        for graph in graphs:
+            L = build_lattice(graph)
+            hermite = Lattice.from_generators(L.generators).basis
+            assert Lattice.from_generators(L.basis.rows).basis == hermite
+            assert L.basis == hermite
+            assert L.covolume == F(1, 2 ** (graph.n_vertices - 1))
+
+    def test_membership_matches_inverse_route_on_graph_lattices(self):
+        rng = random.Random(62)
+        verdicts = []
+        for graph in _seeded_graphs(count=60, seed=63):
+            L = build_lattice(graph)
+            n = graph.n_edges
+            members = [
+                tuple(sum(x) for x in zip(*rng.sample(L.generators, 3)))
+                for _ in range(3)
+            ]
+            for p in members + [_random_point(rng, n) for _ in range(20)]:
+                got = is_lattice_point(p, L)
+                assert got == inverse_lattice_member(p, L)
+                verdicts.append(got)
+        assert sum(verdicts) >= 250 and verdicts.count(False) >= 1000
+
+    def test_membership_matches_inverse_route_on_generated_lattices(self):
+        rng = random.Random(64)
+        verdicts = []
+        lattices = 0
+        while lattices < 100:
+            n = rng.randint(1, 5)
+            gens = [_random_point(rng, n, (1, 2, 3, 4)) for _ in range(n + 1)]
+            try:
+                L = Lattice.from_generators(gens)
+            except ValueError:
+                continue
+            lattices += 1
+            members = [tuple(a + b for a, b in zip(*rng.sample(gens, 2))) for _ in range(2)]
+            for p in members + [_random_point(rng, n) for _ in range(10)]:
+                got = is_lattice_point(p, L)
+                assert got == inverse_lattice_member(p, L)
+                verdicts.append(got)
+        assert sum(verdicts) >= 500 and verdicts.count(False) >= 400
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, 0]],  # not upper-triangular
+            [[1, 0], [1, 1]],  # lower-triangular
+            [[1, 1], [0, 0]],  # zero on the diagonal
+            [[1, 0, 0], [0, 1, 0]],  # not square
+            [[1]],  # wrong dimension
+        ],
+    )
+    def test_non_triangular_basis_rejected(self, rows):
+        with pytest.raises(ValueError):
+            Lattice(2, (), QMatrix(rows))
 
 
 class TestLatticePolytope:
