@@ -43,7 +43,6 @@ from .polytope import (
     VPolytope,
     build_hrep,
     brute_force_vertices,
-    cube_vertex_labellings,
     enumerate_vertices,
     facet_defining_rows,
     format_hrep,
@@ -206,11 +205,13 @@ def analyze_graph(
 ) -> tuple[AnalysisReport, AnalysisArtifacts]:
     """Run every stage once, in the one place that sequences them.
 
-    Raises ConsistencyError on a guard breach.
+    The 2^g cube vertices are counted from the cycle basis and, when
+    vertices are enumerated, checked against the integer ones.  Raises
+    ConsistencyError on a guard breach.
     """
     t0 = time.perf_counter()
     h = build_hrep(graph)
-    labellings = cube_vertex_labellings(graph)
+    cube_vertex_count = 1 << len(graph.cycle_basis())
     lattice = build_lattice(graph)
     if skip_vertex_enum:
         v = facet_rows = verdict = None
@@ -218,15 +219,19 @@ def analyze_graph(
         simple = simple_witness = lattice_poly = smooth = overall = None
     else:
         v = enumerate_vertices(h)
+        denoms = [max(x.denominator for x in vert) for vert in v.vertices]
+        max_denom = max(denoms, default=1)
+        if denoms.count(1) != cube_vertex_count:
+            raise ConsistencyError(
+                f"{denoms.count(1)} integer vertices enumerated, "
+                f"but {cube_vertex_count} cube vertices"
+            )
         facet_rows = facet_defining_rows(h, v)
         verdict = delzant_check(h, v, lattice, facet_rows)
         apply_loop_free_guard(graph, verdict)
         affine_dim = v.dim
         facet_count = len(facet_rows)
         vertex_count = len(v.vertices)
-        max_denom = max(
-            (x.denominator for vert in v.vertices for x in vert), default=1
-        )
         simple = verdict.simple
         simple_witness = verdict.simple_witness
         lattice_poly = verdict.lattice_polytope
@@ -242,7 +247,7 @@ def analyze_graph(
         affine_dim=affine_dim,
         facet_count=facet_count,
         vertex_count=vertex_count,
-        cube_vertex_count=len(labellings),
+        cube_vertex_count=cube_vertex_count,
         max_vertex_denominator=max_denom,
         covolume=lattice.covolume,
         simple=simple,

@@ -7,8 +7,8 @@ the half-sum picks up a whole step in the loop coordinate).  Twice the
 lattice is {y in Z^n : y mod 2 lies in the GF(2) span of the trinion
 parity masks}, the graph's cut space, so a reduced GF(2) echelon basis
 of the masks gives the triangular basis directly, and the covolume is
-2^-(|V|-1).  Membership is integer forward substitution through the
-triangular basis.
+2^-(|V|-1).  Lattices are kept in integers (a scale s and the rows of s
+times the basis); membership is forward substitution through them.
 
 Smoothness is decided on the polytope side.  At each vertex of a simple
 polytope the edge directions to its neighbours are expressed through the
@@ -41,21 +41,20 @@ class ConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank lattice in Q^n with an upper-triangular basis.
-
-    ``generators`` is the raw generating set; ``basis`` holds one basis
-    vector per row, zero left of a nonzero diagonal.  Both span the same
-    group.
+    """A full-rank lattice in Q^n with an upper-triangular basis, kept in
+    integers: ``rows`` are the rows of ``scale`` times the basis, one basis
+    vector per row, zero left of a nonzero diagonal.  ``basis`` is the
+    rational matrix they stand for, built on first use.
     """
 
     dim: int
-    generators: tuple[tuple[Fraction, ...], ...]
-    basis: QMatrix
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis.nrows != self.dim or any(
-            len(row) != self.dim or not row[i].numerator or any(x.numerator for x in row[:i])
-            for i, row in enumerate(self.basis.rows)
+        if self.scale < 1 or len(self.rows) != self.dim or any(
+            len(row) != self.dim or not row[i] or any(row[:i])
+            for i, row in enumerate(self.rows)
         ):
             raise ValueError("basis must be square, upper-triangular, with a nonzero diagonal")
 
@@ -72,31 +71,25 @@ class Lattice:
         rows = [r for r in h.rows if any(r)]
         if len(rows) != n:
             raise ValueError(f"generators span rank {len(rows)} < {n}")
-        basis = QMatrix([[x / scale for x in r] for r in rows])
-        return cls(n, gens, basis)
+        return cls(n, scale, tuple(tuple(x.numerator for x in r) for r in rows))
 
     @cached_property
-    def _integer_basis(self) -> tuple[int, list[list[int]]]:
-        s = lcm(*(x.denominator for row in self.basis.rows for x in row))
-        return s, [[x.numerator * (s // x.denominator) for x in row] for row in self.basis.rows]
+    def basis(self) -> QMatrix:
+        return QMatrix([[Fraction(x, self.scale) for x in row] for row in self.rows])
 
     @cached_property
     def covolume(self) -> Fraction:
-        return abs(prod(row[i] for i, row in enumerate(self.basis.rows)))
+        return Fraction(abs(prod(row[i] for i, row in enumerate(self.rows))), self.scale**self.dim)
 
 
 def build_lattice(graph: TrivalentGraph) -> Lattice:
-    """Lattice of a trivalent graph: Z^n plus the trinion half-sums.  Its
-    basis is c/2 at the pivot (lowest bit) of each mask c of the reduced GF(2)
-    echelon basis of the trinion parity masks, and e_j at every other j."""
+    """Lattice of a trivalent graph: Z^n plus the trinion half-sums.  Twice
+    its basis is c at the pivot (lowest bit) of each mask c of the reduced
+    GF(2) echelon basis of the trinion parity masks, and 2e_j elsewhere."""
     n = graph.n_edges
-    value = (Fraction(0), Fraction(1, 2), Fraction(1))  # by the count of halves
-    generators = [tuple(value[2 * (i == k)] for i in range(n)) for k in range(n)]
     echelon: dict[int, int] = {}  # pivot -> mask, each clear at the other pivots
     for triple in graph.trinion_triples():
-        halves = [triple.edges.count(i) for i in range(n)]
-        generators.append(tuple(value[c] for c in halves))
-        mask = sum(1 << i for i, c in enumerate(halves) if c == 1)
+        mask = sum(1 << i for i in triple.edges if triple.edges.count(i) == 1)  # loops drop out
         for pivot, other in echelon.items():
             if mask >> pivot & 1:
                 mask ^= other
@@ -104,17 +97,18 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
             pivot = (mask & -mask).bit_length() - 1
             echelon = {q: m ^ mask if m >> pivot & 1 else m for q, m in echelon.items()}
             echelon[pivot] = mask
-    half = {j: tuple(value[m >> i & 1] for i in range(n)) for j, m in echelon.items()}
-    return Lattice(n, tuple(generators), QMatrix(half.get(j, generators[j]) for j in range(n)))
+    rows = [tuple(echelon[j] >> i & 1 if j in echelon else 2 * (i == j) for i in range(n))
+            for j in range(n)]
+    return Lattice(n, 2, tuple(rows))
 
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
     """Whether rational x is an integer combination of the basis rows: forward
-    substitution through k*s*basis in Z, k and s the lcm of the denominators
-    of x and of the basis."""
+    substitution of k*s*x through k*s*basis = k*rows in Z, s the lattice's
+    scale and k the lcm of the denominators of x."""
     if len(x) != lattice.dim:
         raise ValueError(f"point has length {len(x)}, expected {lattice.dim}")
-    s, rows = lattice._integer_basis
+    s, rows = lattice.scale, lattice.rows
     k = lcm(*(v.denominator for v in x))
     y = [v.numerator * (k // v.denominator) * s for v in x]
     for i, row in enumerate(rows):
@@ -226,8 +220,8 @@ def delzant_check(
 
     At a simple vertex the n primitive edge directions, written in
     lattice pairing coordinates, must form a matrix of determinant +-1.
-    The vertices and the basis are scaled to integers, which leaves the
-    primitive rows unchanged, and the determinant is taken over Z.
+    The vertices are scaled to integers, like the basis rows, which
+    leaves the primitive rows unchanged, and the determinant is over Z.
     Non-simple polytopes are SINGULAR immediately, with the simplicity
     witness carried through.
     """
@@ -249,7 +243,7 @@ def delzant_check(
         )
     n = h.dim
     neighbours = _edge_neighbours(v, frozenset(facet_rows), n)
-    _, basis = lattice._integer_basis
+    basis = lattice.rows
     scale = lcm(*(x.denominator for vertex in v.vertices for x in vertex))
     points = [[x.numerator * (scale // x.denominator) for x in p] for p in v.vertices]
     smooth = True

@@ -101,24 +101,23 @@ def build_hrep(graph: TrivalentGraph) -> HPolytope:
     """H-representation of the moment polytope of a trivalent graph.
 
     Emits the four tetrahedron rows per trinion triple, with a loop's
-    repeated index summed into a single coefficient.
+    repeated index summed into a single coefficient.  Each row has a +-1
+    entry, so it is primitive; duplicates merge, tags concatenated.
     """
     n = graph.n_edges
-    inequalities = []
+    merged: dict[tuple[tuple[int, ...], int], list[RowTag]] = {}
     for triple in graph.trinion_triples():
         coeffs = [0] * n
         for index in triple.edges:
             coeffs[index] += 1
-        inequalities.append((tuple(coeffs), 2, (RowTag(triple.vertex, KIND_SUM),)))
+        merged.setdefault((tuple(coeffs), 2), []).append(RowTag(triple.vertex, KIND_SUM))
         for pos in range(3):
+            # the row x_pos - (the other two) <= 0, i.e. the triangle inequality
             row = [0] * n
             for q, index in enumerate(triple.edges):
-                row[index] += -1 if q == pos else 1
-            # row.x >= 0, stored as (-row).x <= 0
-            inequalities.append(
-                (tuple(-x for x in row), 0, (RowTag(triple.vertex, KIND_TRI[pos]),))
-            )
-    return HPolytope.from_inequalities(n, inequalities)
+                row[index] += 1 if q == pos else -1
+            merged.setdefault((tuple(row), 0), []).append(RowTag(triple.vertex, KIND_TRI[pos]))
+    return HPolytope(n, tuple(Row(a, b, tuple(tags)) for (a, b), tags in merged.items()))
 
 
 def contains(h: HPolytope, x: Sequence) -> bool:

@@ -3,8 +3,9 @@
 The oracles here deliberately re-derive results with different
 algorithms than the package (cofactor determinants, abs-pivot Gaussian
 elimination, exhaustive labelling search, GF(2) bit elimination, and the
-Fraction and per-ray routes that vertex enumeration and the lattice used
-before they kept to integers) so that agreement is meaningful.
+Fraction, per-ray and normalising routes that vertex enumeration, the
+lattice and the H-representation used before they kept to integers) so
+that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ from fractions import Fraction
 from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direction
 from graphtoric.graph_core import GraphError, TrivalentGraph
 from graphtoric.polytope import (
+    KIND_SUM,
+    KIND_TRI,
     HPolytope,
     NotFullDimensional,
+    RowTag,
     UnboundedPolytope,
     VPolytope,
     contains,
@@ -80,6 +84,31 @@ def redundant_hsystem(rng: random.Random, n: int) -> HPolytope:
     if rng.random() < 0.25:
         extra.append((tuple(int(k == 0) for k in range(n)), 0))
     return HPolytope.from_inequalities(n, rows + extra)
+
+
+# ---------------------------------------------------------------------------
+# H-representation oracle
+# ---------------------------------------------------------------------------
+
+def inequality_hrep(graph: TrivalentGraph) -> HPolytope:
+    """The graph polytope by the route build_hrep replaced: the four
+    tetrahedron rows per trinion triple (row.x >= 0 stored as -row), each
+    normalised and merged by HPolytope.from_inequalities."""
+    n = graph.n_edges
+    inequalities = []
+    for triple in graph.trinion_triples():
+        coeffs = [0] * n
+        for index in triple.edges:
+            coeffs[index] += 1
+        inequalities.append((tuple(coeffs), 2, (RowTag(triple.vertex, KIND_SUM),)))
+        for pos in range(3):
+            row = [0] * n
+            for q, index in enumerate(triple.edges):
+                row[index] += -1 if q == pos else 1
+            inequalities.append(
+                (tuple(-x for x in row), 0, (RowTag(triple.vertex, KIND_TRI[pos]),))
+            )
+    return HPolytope.from_inequalities(n, inequalities)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +202,17 @@ def fraction_initial_cone(rows, d):
 # ---------------------------------------------------------------------------
 # Lattice oracles
 # ---------------------------------------------------------------------------
+
+def graph_lattice_generators(graph: TrivalentGraph):
+    """The generating set of a graph's lattice: the unit vectors of Z^n,
+    then per graph vertex the half-sum of its trinion triple (a loop's
+    edge counted twice, so a whole step)."""
+    n = graph.n_edges
+    generators = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+    for triple in graph.trinion_triples():
+        generators.append(tuple(Fraction(triple.edges.count(i), 2) for i in range(n)))
+    return generators
+
 
 def inverse_lattice_member(x, lattice) -> bool:
     """Membership by the coordinates inverse(basis)^T x, all integral."""

@@ -196,6 +196,24 @@ class TestOracle:
         assert "disagrees" in capsys.readouterr().err
 
 
+class TestCubeVertexCheck:
+    def test_missing_cube_vertex_is_contradiction(self, monkeypatch, capsys):
+        # one 0/1 vertex dropped with its incidence row, so the enumerated
+        # integer vertices fall one short of the cycle-space count
+        real = cli.enumerate_vertices
+
+        def dropping(h):
+            v = real(h)
+            k = next(i for i, p in enumerate(v.vertices) if all(x.denominator == 1 for x in p))
+            return VPolytope(
+                v.dim, v.vertices[:k] + v.vertices[k + 1 :], v.incidence[:k] + v.incidence[k + 1 :]
+            )
+
+        monkeypatch.setattr(cli, "enumerate_vertices", dropping)
+        assert main(["analyze", "--theta", "3"]) == 3
+        assert "7 integer vertices enumerated, but 8 cube vertices" in capsys.readouterr().err
+
+
 class TestBatch:
     def test_table(self, capsys):
         assert main(["batch", "2", "3"]) == 0
@@ -274,7 +292,7 @@ def stage_calls(monkeypatch):
     a stage recomputed inside another (a missing facet_rows) shows too."""
     calls = dict.fromkeys(STAGES, 0)
     for name in STAGES:
-        real = getattr(cli, name)
+        real = getattr(polytope, name, None) or getattr(lattice_fan, name)
         for module in (cli, polytope, lattice_fan):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, _counting(calls, name, real))
@@ -282,17 +300,22 @@ def stage_calls(monkeypatch):
 
 
 class TestStagesRunOnce:
+    """Every stage once per graph; the cube vertices are counted from the
+    cycle basis, so cube_vertex_labellings is never called."""
+
     def test_batch(self, stage_calls, capsys):
         assert main(["batch", "2", "4", "--json"]) == 0
-        assert stage_calls == dict.fromkeys(STAGES, 3)
+        assert stage_calls == {**dict.fromkeys(STAGES, 3), "cube_vertex_labellings": 0}
 
     def test_analyze_graph(self, stage_calls, theta3):
         analyze_graph(theta3)
-        assert stage_calls == dict.fromkeys(STAGES, 1)
+        assert stage_calls == {**dict.fromkeys(STAGES, 1), "cube_vertex_labellings": 0}
 
     def test_skip_vertex_enum(self, stage_calls, theta3):
         analyze_graph(theta3, skip_vertex_enum=True)
-        assert stage_calls == {name: int(name in STAGES[:3]) for name in STAGES}
+        assert stage_calls == {
+            name: int(name in ("build_hrep", "build_lattice")) for name in STAGES
+        }
 
 
 class TestReportValue:

@@ -15,7 +15,9 @@ from fractions import Fraction
 import pytest
 
 from graphtoric import polytope
+from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, multi_theta
+from graphtoric.lattice_fan import build_lattice
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
@@ -143,3 +145,7 @@ def test_hrep_and_initial_cone_build_no_fraction():
     assert fraction_calls(build_hrep, multi_theta(8)) == 0
     rows, _ = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
     assert fraction_calls(polytope._initial_cone, rows, len(rows[0])) == 0
+    assert fraction_calls(build_lattice, multi_theta(12)) == 0
+    # skip mode builds its few Fractions (the covolume) whatever the genus
+    small, large = multi_theta(3), multi_theta(12)
+    assert fraction_calls(analyze_graph, large, True) == fraction_calls(analyze_graph, small, True)

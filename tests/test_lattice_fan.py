@@ -25,6 +25,7 @@ from helpers import (
     cofactor_det,
     gauss_rank,
     gf2_rank,
+    graph_lattice_generators,
     inverse_lattice_member,
     random_trivalent_graph,
     trinion_parity_vectors,
@@ -103,7 +104,7 @@ class TestLattice:
     def test_generator_order_irrelevant(self, theta3):
         L = build_lattice(theta3)
         rng = random.Random(9)
-        gens = list(L.generators)
+        gens = graph_lattice_generators(theta3)
         probes = [tuple(F(rng.randint(0, 4), 2) for _ in range(6)) for _ in range(20)]
         for _ in range(10):
             rng.shuffle(gens)
@@ -136,9 +137,10 @@ class TestLatticeOracles:
         assert sum(not g.is_loop_free() for g in graphs) >= 100
         for graph in graphs:
             L = build_lattice(graph)
-            hermite = Lattice.from_generators(L.generators).basis
-            assert Lattice.from_generators(L.basis.rows).basis == hermite
-            assert L.basis == hermite
+            hermite = Lattice.from_generators(graph_lattice_generators(graph))
+            assert Lattice.from_generators(L.basis.rows).basis == hermite.basis
+            assert L.basis == hermite.basis
+            assert L == hermite  # the same scale and integer rows
             assert L.covolume == F(1, 2 ** (graph.n_vertices - 1))
 
     def test_membership_matches_inverse_route_on_graph_lattices(self):
@@ -147,10 +149,8 @@ class TestLatticeOracles:
         for graph in _seeded_graphs(count=60, seed=63):
             L = build_lattice(graph)
             n = graph.n_edges
-            members = [
-                tuple(sum(x) for x in zip(*rng.sample(L.generators, 3)))
-                for _ in range(3)
-            ]
+            gens = graph_lattice_generators(graph)
+            members = [tuple(sum(x) for x in zip(*rng.sample(gens, 3))) for _ in range(3)]
             for p in members + [_random_point(rng, n) for _ in range(20)]:
                 got = is_lattice_point(p, L)
                 assert got == inverse_lattice_member(p, L)
@@ -188,7 +188,12 @@ class TestLatticeOracles:
     )
     def test_non_triangular_basis_rejected(self, rows):
         with pytest.raises(ValueError):
-            Lattice(2, (), QMatrix(rows))
+            Lattice(2, 1, tuple(map(tuple, rows)))
+
+    @pytest.mark.parametrize("scale", [0, -2])
+    def test_non_positive_scale_rejected(self, scale):
+        with pytest.raises(ValueError):
+            Lattice(2, scale, ((1, 0), (0, 1)))
 
 
 class TestLatticePolytope:

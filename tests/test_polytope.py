@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, multi_theta
 from graphtoric.polytope import (
     HPolytope,
@@ -18,7 +19,13 @@ from graphtoric.polytope import (
     format_vrep,
     is_simple,
 )
-from helpers import exhaustive_labellings, gauss_rank, random_hsystem, random_trivalent_graph
+from helpers import (
+    exhaustive_labellings,
+    gauss_rank,
+    inequality_hrep,
+    random_hsystem,
+    random_trivalent_graph,
+)
 
 F = Fraction
 
@@ -230,7 +237,32 @@ class TestContains:
             contains(build_hrep(theta2), (0, 0))
 
 
+def _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed):
+    """The fixture graphs and 20 seeded random multigraphs of genus 2 to 4,
+    with loops and multi-edges among them."""
+    rng = random.Random(seed)
+    graphs = [theta2, theta3, dumbbell, k4]
+    graphs += [random_trivalent_graph(rng, rng.choice((2, 4, 6))) for _ in range(20)]
+    assert sum(not g.is_loop_free() for g in graphs) >= 5
+    assert sum(len(set(g.edges)) < len(g.edges) for g in graphs) >= 5
+    return graphs
+
+
+class TestBuildHrepOracle:
+    def test_matches_normalising_route(self, theta2, theta3, theta4, dumbbell, k4):
+        graphs = _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed=13)
+        for graph in graphs + [theta4, multi_theta(8)]:
+            # HPolytope equality: the rows, their order and their tags
+            assert build_hrep(graph) == inequality_hrep(graph)
+
+
 class TestCubeVertexLabellings:
+    def test_report_count_matches_labellings(self, theta2, theta3, dumbbell, k4):
+        for graph in _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed=14):
+            report, _ = analyze_graph(graph)  # enumerates, so the count is cross-checked
+            count = report.cube_vertex_count
+            assert count == len(cube_vertex_labellings(graph)) == len(exhaustive_labellings(graph))
+
     def test_counts_small(self):
         for g in (2, 3, 4):
             assert len(cube_vertex_labellings(multi_theta(g))) == 2**g
