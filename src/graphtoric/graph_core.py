@@ -9,7 +9,7 @@ per-vertex triples of incident edge indices drive everything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 
@@ -62,6 +62,8 @@ class TrivalentGraph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
+    # the spanning-tree paths found by validation, reused by cycle_basis
+    _paths: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -81,8 +83,10 @@ class TrivalentGraph:
         for vertex in range(self.n_vertices):
             if degree.get(vertex, 0) != 3:
                 raise DegreeViolation(vertex, degree.get(vertex, 0))
-        if None in _tree_paths(self.n_vertices, self.edges):
+        paths = _tree_paths(self.n_vertices, self.edges)
+        if None in paths:
             raise Disconnected()
+        object.__setattr__(self, "_paths", paths)
         if self.genus < 2:
             raise GenusTooSmall(self.genus)
 
@@ -104,7 +108,7 @@ class TrivalentGraph:
         and a loop is a cycle on its own.  The genus many masks span, over
         GF(2), the edge sets meeting each vertex evenly (loops twice).
         """
-        path = _tree_paths(self.n_vertices, self.edges)
+        path = self._paths
         masks = [(1 << i) ^ path[u] ^ path[v] for i, (u, v) in enumerate(self.edges)]
         return [mask for mask in masks if mask]
 

@@ -103,20 +103,36 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
 
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
-    """Whether rational x is an integer combination of the basis rows: forward
-    substitution of k*s*x through k*s*basis = k*rows in Z, s the lattice's
-    scale and k the lcm of the denominators of x."""
-    if len(x) != lattice.dim:
-        raise ValueError(f"point has length {len(x)}, expected {lattice.dim}")
-    s, rows = lattice.scale, lattice.rows
-    k = lcm(*(v.denominator for v in x))
-    y = [v.numerator * (k // v.denominator) * s for v in x]
-    for i, row in enumerate(rows):
-        c, r = divmod(y[i], k * row[i])
-        if r:
-            return False
-        y = [a - c * k * b for a, b in zip(y, row)]
-    return True
+    """Whether rational x is an integer combination of the basis rows."""
+    return _first_non_member([x], lattice) is None
+
+
+def _first_non_member(points: Sequence[Sequence], lattice: Lattice) -> Sequence | None:
+    """The first of the rational points not in the lattice, or None.
+
+    Every point is scaled once by the lcm k of all their denominators, and
+    y/k is a member iff forward substitution of s*y through k*s*basis =
+    k*rows divides evenly in Z, s the lattice's scale.  The rows times k
+    are made once, keeping only the entries right of each diagonal that
+    are nonzero.
+    """
+    k = lcm(*{x.denominator for p in points for x in p})
+    steps = [
+        (i, k * row[i], [(j, k * b) for j, b in enumerate(row) if j > i and b])
+        for i, row in enumerate(lattice.rows)
+    ]
+    s = lattice.scale
+    for p in points:
+        if len(p) != lattice.dim:
+            raise ValueError(f"point has length {len(p)}, expected {lattice.dim}")
+        y = [x.numerator * (k // x.denominator) * s for x in p]
+        for i, pivot, tail in steps:
+            c, r = divmod(y[i], pivot)
+            if r:
+                return p
+            for j, b in tail:
+                y[j] -= c * b
+    return None
 
 
 class LatticePolytopeVerdict(NamedTuple):
@@ -126,7 +142,7 @@ class LatticePolytopeVerdict(NamedTuple):
 
 def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdict:
     """True iff every vertex lies in the lattice; else first bad vertex."""
-    bad = next((p for p in v.vertices if not is_lattice_point(p, lattice)), None)
+    bad = _first_non_member(v.vertices, lattice)
     return LatticePolytopeVerdict(bad is None, bad)
 
 

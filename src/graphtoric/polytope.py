@@ -283,7 +283,9 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     from (p, q) is a positive combination of two rays feasible on every
     processed row, so there it vanishes exactly on their common zeros.
     Its dots are computed only on the pending rows, last row first, so
-    that a prefix slice drops each inserted row.
+    that a prefix slice drops each inserted row.  Initial ray k is tight
+    on every initial row but the k-th, so its zero set there is known,
+    and its dots with the pending rows read only their nonzero entries.
     Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
     means the polytope is unbounded, which is reported as an error.
     """
@@ -292,10 +294,11 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     initial, rays = _initial_cone(rows, d)
     processed = sum(1 << j for j in initial)
     pending = [j for j in range(len(rows)) if not processed >> j & 1][::-1]
-    dots = [[_idot(ray, rows[j]) for j in pending] for ray in rays]
-    zmasks = [_zero_mask([_idot(ray, row) for row in rows], range(len(rows))) for ray in rays]
-    tight_rays = {k: sum(1 << r for r in range(d) if zmasks[r] >> k & 1) for k in initial}
+    sparse = [[(i, x) for i, x in enumerate(rows[j]) if x] for j in pending]
+    dots = [[sum(ray[i] * x for i, x in row) for row in sparse] for ray in rays]
+    zmasks = [processed & ~(1 << j) | _zero_mask(dot, pending) for j, dot in zip(initial, dots)]
     alive, live = list(range(d)), (1 << d) - 1
+    tight_rays = {j: live & ~(1 << k) for k, j in enumerate(initial)}
 
     for c in reversed(range(len(pending))):
         j = pending[c]
@@ -352,10 +355,16 @@ def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
     be contained in the zero set of any third live ray.  The live rays
     tight on all of z are the AND of ``live`` and ``tight_rays[k]`` over
     k in z, and the pair is adjacent iff that AND is exactly {p, q}.
-    Pairs with fewer than d-2 common tight rows cannot be adjacent and are
-    skipped outright, and so is a candidate whose z lies in the zero set
-    of the third ray that blocked p's last non-adjacent candidate.
+    The AND is taken one 8-row block of z at a time: the AND over each
+    (block offset, bits) slice met is computed once per call and kept in
+    ``table`` (the Four-Russians method).  Pairs with fewer than d-2
+    common tight rows cannot be adjacent and are skipped outright, and so
+    is a candidate whose z lies in the zero set of the third ray that
+    blocked p's last rejected partner, or q's.
     """
+    size = (processed.bit_length() + 7) // 8
+    table: dict[int, int] = {}
+    q_blocker: dict[int, int] = {}
     for p in pos:
         zp = zmasks[p] & processed
         blocker = None
@@ -365,17 +374,28 @@ def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
                 continue
             if blocker is not None and blocker != q and not z & ~zmasks[blocker]:
                 continue
+            b = q_blocker.get(q)
+            if b is not None and b != p and not z & ~zmasks[b]:
+                continue
             pair = 1 << p | 1 << q
             common = live
-            while z and common != pair:
-                low = z & -z
-                common &= tight_rays[low.bit_length() - 1]
-                z ^= low
+            for offset, bits in enumerate(z.to_bytes(size, "little")):
+                if bits:
+                    key = offset << 8 | bits
+                    block = table.get(key)
+                    if block is None:
+                        block = live
+                        for k in _bits(bits << 8 * offset):
+                            block &= tight_rays[k]
+                        table[key] = block
+                    common &= block
+                    if common == pair:
+                        break
             if common == pair:
                 yield p, q
             else:
                 third = common & ~pair
-                blocker = (third & -third).bit_length() - 1
+                blocker = q_blocker[q] = (third & -third).bit_length() - 1
 
 
 def brute_force_vertices(h: HPolytope) -> VPolytope:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cProfile
 import fractions
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,23 @@ def redundant_hsystem(rng: random.Random, n: int) -> HPolytope:
     if rng.random() < 0.25:
         extra.append((tuple(int(k == 0) for k in range(n)), 0))
     return HPolytope.from_inequalities(n, rows + extra)
+
+
+def supporting_hsystem(rng: random.Random, n: int, n_rows: int, n_points: int) -> HPolytope:
+    """Many supporting rows of a few random integer points in [0, 3]^n.
+
+    Each row is a.x <= max a.p over the points, for n_rows distinct
+    primitive directions a drawn from [-2, 2]^n, so every row is tight at
+    some point and each point that is a vertex carries many of them: a
+    highly degenerate system whose tight rows run through the whole,
+    sorted, row range.
+    """
+    points = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n_points)]
+    directions = [a for a in itertools.product(range(-2, 3), repeat=n) if math.gcd(*a) == 1]
+    rows = []
+    for a in rng.sample(directions, n_rows):
+        rows.append((a, max(sum(x * y for x, y in zip(a, p)) for p in points)))
+    return HPolytope.from_inequalities(n, rows)
 
 
 # ---------------------------------------------------------------------------

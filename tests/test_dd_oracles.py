@@ -35,6 +35,7 @@ from helpers import (
     random_trivalent_graph,
     redundant_hsystem,
     scan_adjacent_pairs,
+    supporting_hsystem,
 )
 
 
@@ -60,6 +61,12 @@ HSYSTEM_SEEDS = range(40)
 def _hsystem(seed):
     rng = random.Random(seed)
     return redundant_hsystem(rng, rng.randint(2, 4))
+
+
+def _many_row_system():
+    """300 rows in dimension 4: row indices pass 256, so the adjacency
+    chains read many 8-row blocks."""
+    return supporting_hsystem(random.Random(71), 4, 300, 8)
 
 
 @pytest.fixture
@@ -110,6 +117,32 @@ def test_redundant_cut_cubes_match_oracles(seed, adjacency_steps):
     h = _hsystem(seed)
     v = _check_against_oracles(h)
     assert brute_force_vertices(h) == v
+
+
+def test_many_row_system_matches_oracles(adjacency_steps):
+    h = _many_row_system()
+    assert len(h.rows) == 300
+    v = _check_against_oracles(h)
+    assert v.dim == 4
+    assert sum(adjacency_steps) >= 200
+    # the rows tight at the vertices, as homogeneous row indices
+    _, sources = polytope._homogeneous_rows(h)
+    tight = sum(1 << i for t in v.incidence for i in t)
+    rows = [k for k, source in enumerate(sources) if source & tight]
+    assert max(rows) >= 256 and len({k >> 3 for k in rows}) >= 30
+
+
+def test_initial_rays_are_tight_on_every_initial_row_but_their_own():
+    # enumerate_vertices takes the initial rays' zero sets from this fact
+    systems = [build_hrep(graph) for graph in GRAPHS.values()]
+    systems += [_hsystem(seed) for seed in HSYSTEM_SEEDS] + [_many_row_system()]
+    for h in systems:
+        rows, _ = polytope._homogeneous_rows(h)
+        initial, rays = polytope._initial_cone(rows, h.dim + 1)
+        for k, ray in enumerate(rays):
+            for i, j in enumerate(initial):
+                dot = polytope._idot(ray, rows[j])
+                assert dot > 0 if i == k else dot == 0
 
 
 def test_cut_cubes_cover_redundant_and_flat_cases():

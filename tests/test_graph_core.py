@@ -12,6 +12,7 @@ from graphtoric.graph_core import (
     multi_theta,
     parse_graph,
     serialize_graph,
+    _tree_paths,
     validate,
 )
 from helpers import gf2_rank, random_trivalent_graph
@@ -114,6 +115,15 @@ class TestCycleBasis:
                         degree[u] += 1
                         degree[v] += 1
                 assert all(d % 2 == 0 for d in degree), (graph.edges, bin(mask))
+
+    def test_kept_tree_paths_stay_out_of_equality_and_repr(self, graphs):
+        for graph in graphs:
+            assert graph._paths == _tree_paths(graph.n_vertices, graph.edges)
+            twin = TrivalentGraph(graph.n_vertices, graph.edges)
+            assert twin == graph and hash(twin) == hash(graph)
+            assert repr(graph) == (
+                f"TrivalentGraph(n_vertices={graph.n_vertices}, edges={graph.edges!r})"
+            )
 
 
 class TestTrinionTriples:

@@ -20,7 +20,7 @@ from graphtoric.lattice_fan import (
     map_fan,
     normal_fan,
 )
-from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices
+from graphtoric.polytope import HPolytope, VPolytope, build_hrep, enumerate_vertices
 from helpers import (
     cofactor_det,
     gauss_rank,
@@ -175,6 +175,26 @@ class TestLatticeOracles:
                 assert got == inverse_lattice_member(p, L)
                 verdicts.append(got)
         assert sum(verdicts) >= 500 and verdicts.count(False) >= 400
+
+    def test_lattice_polytope_offender_matches_inverse_route(self):
+        # is_lattice_polytope scales all vertices by one lcm; the first
+        # vertex the inverse route rejects must be the one it reports
+        rng = random.Random(65)
+        offenders = 0
+        for graph in _seeded_graphs(count=40, seed=66):
+            L = build_lattice(graph)
+            n = graph.n_edges
+            gens = graph_lattice_generators(graph)
+            points = [tuple(sum(x) for x in zip(*rng.sample(gens, 3))) for _ in range(4)]
+            points += [_random_point(rng, n) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(points)
+            if graph.n_vertices <= 4:
+                points += enumerate_vertices(build_hrep(graph)).vertices
+            v = VPolytope(n, tuple(points), ((),) * len(points))
+            bad = next((p for p in points if not inverse_lattice_member(p, L)), None)
+            assert is_lattice_polytope(v, L) == (bad is None, bad)
+            offenders += bad is not None
+        assert 10 <= offenders <= 35
 
     @pytest.mark.parametrize(
         "rows",
