@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .graph_core import (
     GraphError,
@@ -106,7 +107,7 @@ class AnalysisReport:
                     "cube_vertex_count": self.cube_vertex_count,
                     "max_vertex_denominator": self.max_vertex_denominator,
                 },
-                "lattice": {"covolume": _frac_str(self.covolume)},
+                "lattice": {"covolume": str(self.covolume)},
                 "verdict": {
                     "simple": self.simple,
                     "simple_witness": _point_json(self.simple_witness),
@@ -156,7 +157,7 @@ class AnalysisReport:
             f"facets {num(self.facet_count)}, vertices {num(self.vertex_count)}, "
             f"cube vertices {self.cube_vertex_count}, "
             f"max vertex denominator {num(self.max_vertex_denominator)}",
-            f"lattice covolume {_frac_str(self.covolume)}",
+            f"lattice covolume {self.covolume}",
             f"simple {yn(self.simple)}"
             + (
                 f" (witness {_point_str(self.simple_witness)})"
@@ -170,12 +171,8 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _point_json(p):
-    return None if p is None else [_frac_str(x) for x in p]
+    return None if p is None else [str(x) for x in p]
 
 
 def _point_from_json(p):
@@ -183,7 +180,7 @@ def _point_from_json(p):
 
 
 def _point_str(p) -> str:
-    return "(" + ", ".join(_frac_str(x) for x in p) + ")"
+    return "(" + ", ".join(map(str, p)) + ")"
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def analyze_graph(
         simple = simple_witness = lattice_poly = smooth = overall = None
     else:
         v = enumerate_vertices(h)
-        denoms = [max(x.denominator for x in vert) for vert in v.vertices]
+        denoms = [max(v.scale // gcd(v.scale, c) for c in p) for p in v.points]
         max_denom = max(denoms, default=1)
         if denoms.count(1) != cube_vertex_count:
             raise ConsistencyError(
@@ -231,7 +228,7 @@ def analyze_graph(
         apply_loop_free_guard(graph, verdict)
         affine_dim = v.dim
         facet_count = len(facet_rows)
-        vertex_count = len(v.vertices)
+        vertex_count = len(v.points)
         simple = verdict.simple
         simple_witness = verdict.simple_witness
         lattice_poly = verdict.lattice_polytope
@@ -346,10 +343,10 @@ def _cmd_oracle(args, parser) -> int:
     slow = brute_force_vertices(h)
     if fast != slow:
         raise ConsistencyError(
-            f"vertex enumeration disagrees: {len(fast.vertices)} vs "
-            f"{len(slow.vertices)} vertices, or their incidence or dimension"
+            f"vertex enumeration disagrees: {len(fast.points)} vs "
+            f"{len(slow.points)} vertices, or their incidence or dimension"
         )
-    print(f"oracle pass: {len(fast.vertices)} vertices, incidence and dimension agree")
+    print(f"oracle pass: {len(fast.points)} vertices, incidence and dimension agree")
     return EXIT_OK
 
 
@@ -386,7 +383,7 @@ def _cmd_batch(args, parser) -> int:
 
 def _batch_row(g: int) -> dict:
     report, art = analyze_graph(multi_theta(g))
-    origin = art.vpoly.vertices.index((Fraction(0),) * art.hrep.dim)
+    origin = art.vpoly.points.index((0,) * art.hrep.dim)
     origin_facets = len(set(art.facet_rows).intersection(art.vpoly.incidence[origin]))
     return {
         "g": g,

@@ -104,32 +104,32 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
     """Whether rational x is an integer combination of the basis rows."""
-    return _first_non_member([x], lattice) is None
+    k = lcm(*(c.denominator for c in x))
+    return _first_non_member([[c.numerator * (k // c.denominator) for c in x]], k, lattice) is None
 
 
-def _first_non_member(points: Sequence[Sequence], lattice: Lattice) -> Sequence | None:
-    """The first of the rational points not in the lattice, or None.
+def _first_non_member(points: Sequence[Sequence[int]], k: int, lattice: Lattice) -> int | None:
+    """The index of the first integer point y with y/k not in the lattice,
+    or None.
 
-    Every point is scaled once by the lcm k of all their denominators, and
     y/k is a member iff forward substitution of s*y through k*s*basis =
     k*rows divides evenly in Z, s the lattice's scale.  The rows times k
     are made once, keeping only the entries right of each diagonal that
     are nonzero.
     """
-    k = lcm(*{x.denominator for p in points for x in p})
     steps = [
         (i, k * row[i], [(j, k * b) for j, b in enumerate(row) if j > i and b])
         for i, row in enumerate(lattice.rows)
     ]
     s = lattice.scale
-    for p in points:
+    for index, p in enumerate(points):
         if len(p) != lattice.dim:
             raise ValueError(f"point has length {len(p)}, expected {lattice.dim}")
-        y = [x.numerator * (k // x.denominator) * s for x in p]
+        y = [x * s for x in p]
         for i, pivot, tail in steps:
             c, r = divmod(y[i], pivot)
             if r:
-                return p
+                return index
             for j, b in tail:
                 y[j] -= c * b
     return None
@@ -142,8 +142,8 @@ class LatticePolytopeVerdict(NamedTuple):
 
 def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdict:
     """True iff every vertex lies in the lattice; else first bad vertex."""
-    bad = _first_non_member(v.vertices, lattice)
-    return LatticePolytopeVerdict(bad is None, bad)
+    bad = _first_non_member(v.points, v.scale, lattice)
+    return LatticePolytopeVerdict(bad is None, None if bad is None else v.vertex(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,9 @@ def _edge_neighbours(v: VPolytope, facet_set: frozenset[int], n: int) -> list[li
     vertex i.  Valid where vertex i is simple."""
     tight = [frozenset(t) & facet_set for t in v.incidence]
     out: list[list[int]] = []
-    for i in range(len(v.vertices)):
+    for i in range(len(v.points)):
         out.append(
-            [j for j in range(len(v.vertices)) if j != i and len(tight[i] & tight[j]) == n - 1]
+            [j for j in range(len(v.points)) if j != i and len(tight[i] & tight[j]) == n - 1]
         )
     return out
 
@@ -236,8 +236,9 @@ def delzant_check(
 
     At a simple vertex the n primitive edge directions, written in
     lattice pairing coordinates, must form a matrix of determinant +-1.
-    The vertices are scaled to integers, like the basis rows, which
-    leaves the primitive rows unchanged, and the determinant is over Z.
+    The edges are read from the integer points and the basis rows, both
+    scaled, which leaves the primitive rows unchanged, and the
+    determinant is over Z.
     Non-simple polytopes are SINGULAR immediately, with the simplicity
     witness carried through.
     """
@@ -245,47 +246,30 @@ def delzant_check(
         facet_rows = facet_defining_rows(h, v)
     simplicity = is_simple(h, v, facet_rows)
     lp = is_lattice_polytope(v, lattice)
-    if not simplicity.simple:
-        return DelzantVerdict(
-            simple=False,
-            simple_witness=simplicity.witness,
-            simple_witness_facets=simplicity.witness_facets,
-            lattice_polytope=lp.ok,
-            lattice_offender=lp.offending,
-            smooth=False,
-            smooth_witness=None,
-            smooth_witness_det=None,
-            overall=SINGULAR,
-        )
-    n = h.dim
-    neighbours = _edge_neighbours(v, frozenset(facet_rows), n)
-    basis = lattice.rows
-    scale = lcm(*(x.denominator for vertex in v.vertices for x in vertex))
-    points = [[x.numerator * (scale // x.denominator) for x in p] for p in v.vertices]
-    smooth = True
-    witness = None
-    witness_det = None
-    for i, vertex in enumerate(v.vertices):
-        if len(neighbours[i]) != n:
-            raise ConsistencyError(
-                f"simple vertex {vertex} has {len(neighbours[i])} edges, expected {n}"
-            )
-        edge_rows = []
-        for j in neighbours[i]:
-            d = [a - b for a, b in zip(points[j], points[i])]
-            row = [sum(b * x for b, x in zip(brow, d)) for brow in basis]
-            g = gcd(*row)
-            edge_rows.append([x // g for x in row])
-        d_value = integer_det(edge_rows)
-        if abs(d_value) != 1:
-            smooth = False
-            witness = vertex
-            witness_det = Fraction(d_value)
-            break
+    witness = witness_det = None
+    if simplicity.simple:
+        n = h.dim
+        neighbours = _edge_neighbours(v, frozenset(facet_rows), n)
+        for i, point in enumerate(v.points):
+            if len(neighbours[i]) != n:
+                raise ConsistencyError(
+                    f"simple vertex {v.vertex(i)} has {len(neighbours[i])} edges, expected {n}"
+                )
+            edge_rows = []
+            for j in neighbours[i]:
+                d = [a - b for a, b in zip(v.points[j], point)]
+                row = [sum(b * x for b, x in zip(brow, d)) for brow in lattice.rows]
+                g = gcd(*row)
+                edge_rows.append([x // g for x in row])
+            d_value = integer_det(edge_rows)
+            if abs(d_value) != 1:
+                witness, witness_det = v.vertex(i), Fraction(d_value)
+                break
+    smooth = simplicity.simple and witness is None
     return DelzantVerdict(
-        simple=True,
-        simple_witness=None,
-        simple_witness_facets=None,
+        simple=simplicity.simple,
+        simple_witness=simplicity.witness,
+        simple_witness_facets=simplicity.witness_facets,
         lattice_polytope=lp.ok,
         lattice_offender=lp.offending,
         smooth=smooth,

@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from math import gcd, lcm
 from operator import and_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactmath import QMatrix, UNIQUE, primitive_direction, solve
 from .graph_core import TrivalentGraph
@@ -132,7 +132,11 @@ def contains(h: HPolytope, x: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Exact vertex set with incidence, sorted lexicographically.
+    """Exact vertex set with incidence, kept in integers: ``points[i]`` is
+    ``scale`` times vertex i, ``scale`` the lcm of all vertex denominators
+    (1 when there are none), and the points are sorted, which is the
+    lexicographic order of the vertices.  ``vertices`` is the rational
+    tuple they stand for, built on first use.
 
     ``incidence[i]`` lists the indices of all H-rows tight at vertex i;
     ``dim`` is the affine dimension of the vertex set (-1 when empty).
@@ -143,8 +147,23 @@ class VPolytope:
     """
 
     dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    points: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(self._fraction, p)) for p in self.points)
+
+    def vertex(self, i: int) -> tuple[Fraction, ...]:
+        return tuple(map(self._fraction, self.points[i]))
+
+    @cached_property
+    def _fraction(self) -> Callable[[int], Fraction]:
+        """c -> c/scale, one Fraction per distinct coordinate, shared by
+        ``vertices`` and the witnesses ``vertex`` builds."""
+        scale = self.scale
+        return cache(lambda c: Fraction(c, scale))
 
 
 def _homogeneous_rows(h: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -173,30 +192,25 @@ def _vpolytope_from_rays(
 
     ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r;
     mapping each row back through ``row_sources`` gives the incidence.
-    Vertices are sorted by the integer keys L*x, L the lcm of all t,
-    which is their lexicographic order, and one Fraction is built per
-    distinct coordinate.  The affine dimension of a polytope is n minus
+    The scale is the lcm L of all t, which is the lcm of all vertex
+    denominators because each ray is primitive, and vertex x is kept as
+    the integer point L*x.  The affine dimension of a polytope is n minus
     the rank of its implicit equalities, the rows tight at every vertex.
     """
     if not rays:
-        return VPolytope(-1, (), ())
+        return VPolytope(-1, 1, (), ())
     scale = lcm(*(ray[0] for ray in rays))
-    order = sorted(
-        range(len(rays)),
-        key=lambda r: tuple(c * (scale // rays[r][0]) for c in rays[r][1:]),
-    )
-    fraction = cache(Fraction)
-    vertices, incidence = [], []
+    points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
+    order = sorted(range(len(rays)), key=points.__getitem__)
+    incidence = []
     for r in order:
-        t = rays[r][0]
-        vertices.append(tuple(fraction(c, t) for c in rays[r][1:]))
         tight = 0
         for k in _bits(zmasks[r]):
             tight |= row_sources[k]
         incidence.append(tuple(_bits(tight)))
     equalities = [rows[k] for k in _bits(reduce(and_, zmasks))]
     dim = len(rows[0]) - 1 - _integer_rank(equalities)
-    return VPolytope(dim, tuple(vertices), tuple(incidence))
+    return VPolytope(dim, scale, tuple(points[r] for r in order), tuple(incidence))
 
 
 def _bits(mask: int) -> list[int]:
@@ -464,10 +478,10 @@ def is_simple(
     if facet_rows is None:
         facet_rows = facet_defining_rows(h, v)
     facet_set = set(facet_rows)
-    for vertex, tight in zip(v.vertices, v.incidence):
-        count = sum(1 for i in tight if i in facet_set)
+    for i, tight in enumerate(v.incidence):
+        count = sum(1 for k in tight if k in facet_set)
         if count != h.dim:
-            return SimplicityVerdict(False, vertex, count)
+            return SimplicityVerdict(False, v.vertex(i), count)
     return SimplicityVerdict(True)
 
 
@@ -510,7 +524,7 @@ def format_hrep(h: HPolytope) -> str:
     """cdd-style H-format: each row is  b  -a1 ... -an  (b - a.x >= 0)."""
     lines = ["H-representation", "begin", f"{len(h.rows)} {h.dim + 1} rational"]
     for row in h.rows:
-        lines.append(" ".join([_fmt(row.b)] + [_fmt(-x) for x in row.a]))
+        lines.append(" ".join([str(row.b)] + [str(-x) for x in row.a]))
     lines.extend(["end", ""])
     return "\n".join(lines)
 
@@ -520,11 +534,7 @@ def format_vrep(v: VPolytope) -> str:
     width = len(v.vertices[0]) + 1 if v.vertices else 1
     lines = ["V-representation", "begin", f"{len(v.vertices)} {width} rational"]
     for vertex in v.vertices:
-        lines.append(" ".join(["1"] + [_fmt(x) for x in vertex]))
+        lines.append(" ".join(["1"] + [str(x) for x in vertex]))
     lines.extend(["end", ""])
     return "\n".join(lines)
 
-
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -133,6 +133,15 @@ def inequality_hrep(graph: TrivalentGraph) -> HPolytope:
 # Vertex enumeration oracles
 # ---------------------------------------------------------------------------
 
+def rational_vpolytope(dim: int, vertices, incidence) -> VPolytope:
+    """A VPolytope holding the given rational vertices, in the given order,
+    scaled by the lcm of their denominators."""
+    vertices = [[Fraction(x) for x in p] for p in vertices]
+    scale = math.lcm(*(x.denominator for p in vertices for x in p))
+    points = tuple(tuple(int(x * scale) for x in p) for p in vertices)
+    return VPolytope(dim, scale, points, tuple(incidence))
+
+
 def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
     """V-polytope of a point set in Fraction arithmetic.
 
@@ -157,7 +166,7 @@ def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
             if basis.rank == h.dim:
                 break
         dim = basis.rank
-    return VPolytope(dim, tuple(verts), tuple(incidence))
+    return rational_vpolytope(dim, verts, incidence)
 
 
 def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import graphtoric.cli as cli
 from graphtoric import lattice_fan, polytope
 from graphtoric.cli import AnalysisReport, analyze_graph, main
 from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
-from graphtoric.polytope import VPolytope
+from helpers import rational_vpolytope
 
 F = Fraction
 
@@ -174,7 +174,7 @@ class TestOracle:
 
         def dropping(h):
             v = real(h)
-            return VPolytope(v.dim, v.vertices[1:], v.incidence[1:])
+            return rational_vpolytope(v.dim, v.vertices[1:], v.incidence[1:])
 
         monkeypatch.setattr(cli, "enumerate_vertices", dropping)
         assert main(["oracle", "--theta", "2"]) == 3
@@ -188,8 +188,8 @@ class TestOracle:
         def wrong(h):
             v = real(h)
             if field == "dim":
-                return VPolytope(v.dim - 1, v.vertices, v.incidence)
-            return VPolytope(v.dim, v.vertices, (v.incidence[0][1:],) + v.incidence[1:])
+                return rational_vpolytope(v.dim - 1, v.vertices, v.incidence)
+            return rational_vpolytope(v.dim, v.vertices, (v.incidence[0][1:],) + v.incidence[1:])
 
         monkeypatch.setattr(cli, "enumerate_vertices", wrong)
         assert main(["oracle", "--theta", "2"]) == 3
@@ -205,7 +205,7 @@ class TestCubeVertexCheck:
         def dropping(h):
             v = real(h)
             k = next(i for i, p in enumerate(v.vertices) if all(x.denominator == 1 for x in p))
-            return VPolytope(
+            return rational_vpolytope(
                 v.dim, v.vertices[:k] + v.vertices[k + 1 :], v.incidence[:k] + v.incidence[k + 1 :]
             )
 

@@ -9,6 +9,7 @@ route it replaced (tests/helpers.py) on graph polytopes and on random cut
 cubes with redundant rows.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,11 +18,12 @@ import pytest
 from graphtoric import polytope
 from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, multi_theta
-from graphtoric.lattice_fan import build_lattice
+from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
     UnboundedPolytope,
+    VPolytope,
     brute_force_vertices,
     build_hrep,
     enumerate_vertices,
@@ -97,6 +99,8 @@ def _check_against_oracles(h):
     assert polytope._initial_cone(rows, h.dim + 1) == fraction_initial_cone(rows, h.dim + 1)
     v = enumerate_vertices(h)
     assert v == fraction_vpolytope(h, v.vertices)
+    assert v.scale == math.lcm(*(x.denominator for p in v.vertices for x in p))
+    assert all(p == tuple(v.scale * x for x in q) for p, q in zip(v.points, v.vertices))
     if v.dim == h.dim:
         assert facet_defining_rows(h, v) == echelon_facet_rows(h, v)
     else:
@@ -178,7 +182,26 @@ def test_hrep_and_initial_cone_build_no_fraction():
     assert fraction_calls(build_hrep, multi_theta(8)) == 0
     rows, _ = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
     assert fraction_calls(polytope._initial_cone, rows, len(rows[0])) == 0
+    assert fraction_calls(enumerate_vertices, build_hrep(multi_theta(6))) == 0
     assert fraction_calls(build_lattice, multi_theta(12)) == 0
     # skip mode builds its few Fractions (the covolume) whatever the genus
     small, large = multi_theta(3), multi_theta(12)
     assert fraction_calls(analyze_graph, large, True) == fraction_calls(analyze_graph, small, True)
+
+
+@pytest.mark.parametrize(
+    "graph, overall",
+    [(multi_theta(4), SINGULAR), (multi_theta(2), SMOOTH)],
+    ids=["theta4", "theta2"],
+)
+def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
+    # the verdict stage works on VPolytope.points; the rational vertices
+    # are built only for exports and callers that ask for them.  theta4
+    # has a lattice offender, and theta2 reaches the determinant step
+    def unread(v):
+        raise AssertionError("analyze_graph read VPolytope.vertices")
+
+    monkeypatch.setattr(VPolytope, "vertices", property(unread))
+    report, art = analyze_graph(graph)
+    assert report.overall == overall
+    assert (art.verdict.lattice_offender is None) == art.verdict.smooth == (overall == SMOOTH)

@@ -20,7 +20,7 @@ from graphtoric.lattice_fan import (
     map_fan,
     normal_fan,
 )
-from graphtoric.polytope import HPolytope, VPolytope, build_hrep, enumerate_vertices
+from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices
 from helpers import (
     cofactor_det,
     gauss_rank,
@@ -28,6 +28,7 @@ from helpers import (
     graph_lattice_generators,
     inverse_lattice_member,
     random_trivalent_graph,
+    rational_vpolytope,
     trinion_parity_vectors,
 )
 
@@ -177,8 +178,9 @@ class TestLatticeOracles:
         assert sum(verdicts) >= 500 and verdicts.count(False) >= 400
 
     def test_lattice_polytope_offender_matches_inverse_route(self):
-        # is_lattice_polytope scales all vertices by one lcm; the first
-        # vertex the inverse route rejects must be the one it reports
+        # is_lattice_polytope tests the vertices as integer points, in
+        # order; the first vertex the inverse route rejects must be the
+        # one it reports
         rng = random.Random(65)
         offenders = 0
         for graph in _seeded_graphs(count=40, seed=66):
@@ -190,7 +192,7 @@ class TestLatticeOracles:
             rng.shuffle(points)
             if graph.n_vertices <= 4:
                 points += enumerate_vertices(build_hrep(graph)).vertices
-            v = VPolytope(n, tuple(points), ((),) * len(points))
+            v = rational_vpolytope(n, points, ((),) * len(points))
             bad = next((p for p in points if not inverse_lattice_member(p, L)), None)
             assert is_lattice_polytope(v, L) == (bad is None, bad)
             offenders += bad is not None
