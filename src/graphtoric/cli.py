@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .exactmath import _frac
 from .graph_core import (
     GraphError,
     TrivalentGraph,
@@ -134,7 +135,7 @@ class AnalysisReport:
             vertex_count=d["polytope"]["vertex_count"],
             cube_vertex_count=d["polytope"]["cube_vertex_count"],
             max_vertex_denominator=d["polytope"]["max_vertex_denominator"],
-            covolume=Fraction(d["lattice"]["covolume"]),
+            covolume=_frac(d["lattice"]["covolume"]),
             simple=d["verdict"]["simple"],
             simple_witness=_point_from_json(d["verdict"]["simple_witness"]),
             lattice_polytope=d["verdict"]["lattice_polytope"],
@@ -176,7 +177,7 @@ def _point_json(p):
 
 
 def _point_from_json(p):
-    return None if p is None else tuple(Fraction(x) for x in p)
+    return None if p is None else tuple(map(_frac, p))
 
 
 def _point_str(p) -> str:

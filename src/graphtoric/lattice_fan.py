@@ -10,12 +10,12 @@ of the masks gives the triangular basis directly, and the covolume is
 2^-(|V|-1).  Lattices are kept in integers (a scale s and the rows of s
 times the basis); membership is forward substitution through them.
 
-Smoothness is decided on the polytope side.  At each vertex of a simple
-polytope the edge directions to its neighbours are expressed through the
-lattice pairing (inner product with each reduced basis vector), reduced
-to primitive integer vectors, and the vertex is smooth exactly when the
-resulting n x n matrix has determinant +-1.  A non-simple vertex rules
-out smoothness outright, so the check short-circuits there.
+Smoothness is decided on the normal fan (Cox, Little and Schenck, Toric
+Varieties, 2011).  At each vertex of a simple polytope the n primitive
+inward normals of the tight facets are written in coordinates of the
+lattice basis, made primitive, and the vertex is smooth exactly when the
+resulting n x n integer matrix has determinant +-1.  A non-simple vertex
+rules out smoothness outright, so the check short-circuits there.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
-from typing import NamedTuple, Sequence
+from math import lcm, prod
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import QMatrix, det, hnf, integer_det, primitive_direction
+from .exactmath import QMatrix, _frac, det, hnf, integer_det, primitive_direction
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, facet_defining_rows, is_simple
+from .polytope import HPolytope, VPolytope, _primitive, facet_defining_rows, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -60,7 +60,7 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence]) -> "Lattice":
-        gens = tuple(tuple(Fraction(x) for x in g) for g in generators)
+        gens = tuple(tuple(_frac(x) for x in g) for g in generators)
         if not gens:
             raise ValueError("no generators")
         n = len(gens[0])
@@ -104,35 +104,43 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
     """Whether rational x is an integer combination of the basis rows."""
+    x = [_frac(c) for c in x]
     k = lcm(*(c.denominator for c in x))
     return _first_non_member([[c.numerator * (k // c.denominator) for c in x]], k, lattice) is None
 
 
-def _first_non_member(points: Sequence[Sequence[int]], k: int, lattice: Lattice) -> int | None:
-    """The index of the first integer point y with y/k not in the lattice,
-    or None.
-
-    y/k is a member iff forward substitution of s*y through k*s*basis =
-    k*rows divides evenly in Z, s the lattice's scale.  The rows times k
-    are made once, keeping only the entries right of each diagonal that
-    are nonzero.
-    """
+def _coordinates(
+    points: Iterable[Sequence[int]], m: int, k: int, lattice: Lattice
+) -> Iterator[list[int] | None]:
+    """Per integer point y, lazily, the integer c with c*k*rows = m*y, or
+    None when a division leaves a remainder: forward substitution through
+    k*rows, made once, reading only the nonzero entries right of each
+    diagonal."""
     steps = [
         (i, k * row[i], [(j, k * b) for j, b in enumerate(row) if j > i and b])
         for i, row in enumerate(lattice.rows)
     ]
-    s = lattice.scale
-    for index, p in enumerate(points):
+    for p in points:
         if len(p) != lattice.dim:
             raise ValueError(f"point has length {len(p)}, expected {lattice.dim}")
-        y = [x * s for x in p]
+        y, c = [m * x for x in p], []
         for i, pivot, tail in steps:
-            c, r = divmod(y[i], pivot)
+            q, r = divmod(y[i], pivot)
             if r:
-                return index
+                c = None
+                break
+            c.append(q)
             for j, b in tail:
-                y[j] -= c * b
-    return None
+                y[j] -= q * b
+        yield c
+
+
+def _first_non_member(points: Sequence[Sequence[int]], k: int, lattice: Lattice) -> int | None:
+    """The index of the first integer point y with y/k not in the lattice,
+    or None: y/k is a member iff s*y has integer coordinates against
+    k*s*basis = k*rows, s the lattice's scale."""
+    coordinates = _coordinates(points, lattice.scale, k, lattice)
+    return next((i for i, c in enumerate(coordinates) if c is None), None)
 
 
 class LatticePolytopeVerdict(NamedTuple):
@@ -166,18 +174,16 @@ def normal_fan(
     """Fan of inward facet normals; one maximal cone per vertex."""
     if facet_rows is None:
         facet_rows = facet_defining_rows(h, v)
-    ray_of_row: dict[int, int] = {}
-    rays: list[tuple[int, ...]] = []
-    for i in facet_rows:
-        ray = primitive_direction([-x for x in h.rows[i].a])
-        if ray not in rays:
-            rays.append(ray)
-        ray_of_row[i] = rays.index(ray)
+    ray_ids: dict[tuple[int, ...], int] = {}
+    ray_of_row = {
+        i: ray_ids.setdefault(_primitive([-x for x in h.rows[i].a]), len(ray_ids))
+        for i in facet_rows
+    }
     cones = tuple(
         tuple(sorted(ray_of_row[i] for i in tight if i in ray_of_row))
         for tight in v.incidence
     )
-    return Fan(h.dim, tuple(rays), cones)
+    return Fan(h.dim, tuple(ray_ids), cones)
 
 
 def map_fan(fan: Fan, m: QMatrix) -> Fan:
@@ -200,7 +206,10 @@ class DelzantVerdict:
 
     ``overall`` is SMOOTH iff the polytope is simple and every vertex
     passes the determinant test; ``lattice_polytope`` is informational
-    and does not enter the overall verdict.
+    and does not enter the overall verdict.  ``smooth_witness_det`` is
+    the determinant of the primitive inward facet normals at
+    ``smooth_witness``, in lattice coordinates (see delzant_check): the
+    index of that vertex's normal cone in the lattice, up to sign.
     """
 
     simple: bool
@@ -214,31 +223,22 @@ class DelzantVerdict:
     overall: str
 
 
-def _edge_neighbours(v: VPolytope, facet_set: frozenset[int], n: int) -> list[list[int]]:
-    """neighbours[i] = vertex indices sharing n-1 tight facet rows with
-    vertex i.  Valid where vertex i is simple."""
-    tight = [frozenset(t) & facet_set for t in v.incidence]
-    out: list[list[int]] = []
-    for i in range(len(v.points)):
-        out.append(
-            [j for j in range(len(v.points)) if j != i and len(tight[i] & tight[j]) == n - 1]
-        )
-    return out
-
-
 def delzant_check(
     h: HPolytope,
     v: VPolytope,
     lattice: Lattice,
     facet_rows: tuple[int, ...] | None = None,
 ) -> DelzantVerdict:
-    """Simplicity, then the per-vertex edge determinant test.
+    """Simplicity, then the determinant test on the normal fan.
 
-    At a simple vertex the n primitive edge directions, written in
-    lattice pairing coordinates, must form a matrix of determinant +-1.
-    The edges are read from the integer points and the basis rows, both
-    scaled, which leaves the primitive rows unchanged, and the
-    determinant is over Z.
+    At a simple vertex the primitive inward normals of the n tight facets,
+    written in coordinates of the lattice basis and made primitive, must
+    form a matrix of determinant +-1.  A normal u has the coordinates c
+    with c*rows = D*u, D the absolute product of the diagonal of the
+    triangular rows, so every division of the forward substitution is
+    exact (Cramer's rule); the determinant is over Z, and a zero one is
+    an internal fault (ConsistencyError).  The witness is the first
+    vertex, in ``points`` order, whose determinant is not +-1.
     Non-simple polytopes are SINGULAR immediately, with the simplicity
     witness carried through.
     """
@@ -248,20 +248,15 @@ def delzant_check(
     lp = is_lattice_polytope(v, lattice)
     witness = witness_det = None
     if simplicity.simple:
-        n = h.dim
-        neighbours = _edge_neighbours(v, frozenset(facet_rows), n)
-        for i, point in enumerate(v.points):
-            if len(neighbours[i]) != n:
+        fan = normal_fan(h, v, facet_rows)
+        diagonal = abs(prod(row[i] for i, row in enumerate(lattice.rows)))
+        coords = [_primitive(c) for c in _coordinates(fan.rays, diagonal, 1, lattice)]
+        for i, cone in enumerate(fan.maximal_cones):
+            d_value = integer_det([list(coords[r]) for r in cone])
+            if not d_value:
                 raise ConsistencyError(
-                    f"simple vertex {v.vertex(i)} has {len(neighbours[i])} edges, expected {n}"
+                    f"the facet normals at simple vertex {v.vertex(i)} are dependent"
                 )
-            edge_rows = []
-            for j in neighbours[i]:
-                d = [a - b for a, b in zip(v.points[j], point)]
-                row = [sum(b * x for b, x in zip(brow, d)) for brow in lattice.rows]
-                g = gcd(*row)
-                edge_rows.append([x // g for x in row])
-            d_value = integer_det(edge_rows)
             if abs(d_value) != 1:
                 witness, witness_det = v.vertex(i), Fraction(d_value)
                 break

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, primitive_direction, solve
+from .exactmath import QMatrix, UNIQUE, _frac, primitive_direction, solve
 from .graph_core import TrivalentGraph
 
 # Provenance kinds for rows built from a trinion triple: "sum" is the
@@ -87,8 +87,9 @@ class HPolytope:
 
 
 def _normalize_row(a: Sequence, b) -> tuple[tuple[int, ...], int] | None:
-    mult = lcm(*(x.denominator for x in (*a, b)))
-    *ints, rb = [x.numerator * (mult // x.denominator) for x in (*a, b)]
+    row = [_frac(x) for x in (*a, b)]
+    mult = lcm(*(x.denominator for x in row))
+    *ints, rb = [x.numerator * (mult // x.denominator) for x in row]
     g = gcd(*ints, rb)
     if g == 0:
         return None  # 0 <= 0
@@ -122,7 +123,7 @@ def build_hrep(graph: TrivalentGraph) -> HPolytope:
 
 def contains(h: HPolytope, x: Sequence) -> bool:
     """Exact membership test."""
-    point = [Fraction(v) for v in x]
+    point = [_frac(v) for v in x]
     if len(point) != h.dim:
         raise ValueError(f"point has length {len(point)}, expected {h.dim}")
     return all(

@@ -34,25 +34,8 @@ def k4():
     return TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
-class Bundle:
-    """One graph taken through the whole pipeline (analyze_graph), once."""
-
-    def __init__(self, graph):
-        _, art = analyze_graph(graph)
-        self.graph = art.graph
-        self.h = art.hrep
-        self.v = art.vpoly
-        self.facet_rows = art.facet_rows
-        self.lattice = art.lattice
-        self.verdict = art.verdict
-
-
 @pytest.fixture(scope="session")
 def bundles(theta2, theta3, theta4, dumbbell, k4):
-    return {
-        "theta2": Bundle(theta2),
-        "theta3": Bundle(theta3),
-        "theta4": Bundle(theta4),
-        "dumbbell": Bundle(dumbbell),
-        "k4": Bundle(k4),
-    }
+    """Each graph's AnalysisArtifacts, taken through analyze_graph once."""
+    graphs = dict(theta2=theta2, theta3=theta3, theta4=theta4, dumbbell=dumbbell, k4=k4)
+    return {name: analyze_graph(graph)[1] for name, graph in graphs.items()}

@@ -2,10 +2,11 @@
 
 The oracles here deliberately re-derive results with different
 algorithms than the package (cofactor determinants, abs-pivot Gaussian
-elimination, exhaustive labelling search, GF(2) bit elimination, and the
+elimination, exhaustive labelling search, GF(2) bit elimination, the
 Fraction, per-ray and normalising routes that vertex enumeration, the
-lattice and the H-representation used before they kept to integers) so
-that agreement is meaningful.
+lattice and the H-representation used before they kept to integers, and
+the edge route the smoothness test used before it read the normal fan)
+so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direction
 from graphtoric.graph_core import GraphError, TrivalentGraph
+from graphtoric.lattice_fan import SINGULAR, SMOOTH
 from graphtoric.polytope import (
     KIND_SUM,
     KIND_TRI,
@@ -28,6 +30,7 @@ from graphtoric.polytope import (
     UnboundedPolytope,
     VPolytope,
     contains,
+    facet_defining_rows,
 )
 
 
@@ -239,6 +242,35 @@ def graph_lattice_generators(graph: TrivalentGraph):
     for triple in graph.trinion_triples():
         generators.append(tuple(Fraction(triple.edges.count(i), 2) for i in range(n)))
     return generators
+
+
+def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
+    """Smoothness by the edge route delzant_check took before it read the
+    normal fan: at each vertex of a simple polytope the neighbours sharing
+    n-1 tight facet rows give the n edges, each edge is paired with the
+    basis (``basis.apply``) and made primitive, and the vertex passes iff
+    the cofactor determinant of those rows is +-1.
+
+    Returns (simple, smooth, smooth_witness, smooth_witness_det, overall).
+    """
+    n = h.dim
+    facets = frozenset(facet_defining_rows(h, v))
+    tight = [frozenset(t) & facets for t in v.incidence]
+    simple = all(len(t) == n for t in tight)
+    witness = witness_det = None
+    for i, p in enumerate(v.vertices if simple else ()):
+        neighbours = [j for j, t in enumerate(tight) if len(tight[i] & t) == n - 1]
+        assert len(neighbours) == n, (p, neighbours)
+        rows = [
+            primitive_direction(lattice.basis.apply([a - b for a, b in zip(v.vertices[j], p)]))
+            for j in neighbours
+        ]
+        d = cofactor_det(rows)
+        if abs(d) != 1:
+            witness, witness_det = p, d
+            break
+    smooth = simple and witness is None
+    return simple, smooth, witness, witness_det, SMOOTH if smooth else SINGULAR
 
 
 def inverse_lattice_member(x, lattice) -> bool:

@@ -159,6 +159,11 @@ class TestAnalyze:
         assert main(["analyze", "--theta", "3"]) == 3
         assert "contradiction" in capsys.readouterr().err
 
+    def test_dependent_facet_normals_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice_fan, "integer_det", lambda rows: 0)
+        assert main(["analyze", "--theta", "2"]) == 3
+        assert "are dependent" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_pass(self, capsys):
@@ -231,6 +236,21 @@ class TestBatch:
         assert rows[1]["origin_facet_ok"] is True
         assert rows[1]["origin_facet_count"] == 12
         assert rows[2]["origin_facet_count"] == 18
+
+    def test_golden_json_rows(self, capsys):
+        assert main(["batch", "2", "6", "--json"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            '{"g": 2, "cube_vertex_count": 4, "cube_count_ok": true, "origin_facet_count": 3, '
+            '"origin_facet_ok": null, "overall": "SMOOTH"}',
+            '{"g": 3, "cube_vertex_count": 8, "cube_count_ok": true, "origin_facet_count": 12, '
+            '"origin_facet_ok": true, "overall": "SINGULAR"}',
+            '{"g": 4, "cube_vertex_count": 16, "cube_count_ok": true, "origin_facet_count": 18, '
+            '"origin_facet_ok": true, "overall": "SINGULAR"}',
+            '{"g": 5, "cube_vertex_count": 32, "cube_count_ok": true, "origin_facet_count": 24, '
+            '"origin_facet_ok": true, "overall": "SINGULAR"}',
+            '{"g": 6, "cube_vertex_count": 64, "cube_count_ok": true, "origin_facet_count": 30, '
+            '"origin_facet_ok": true, "overall": "SINGULAR"}',
+        ]
 
     def test_bad_range_is_usage_error(self):
         with pytest.raises(SystemExit) as e:

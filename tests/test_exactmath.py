@@ -17,6 +17,10 @@ from graphtoric.exactmath import (
     primitive_direction,
     solve,
 )
+from graphtoric.cli import AnalysisReport, analyze_graph
+from graphtoric.graph_core import multi_theta
+from graphtoric.lattice_fan import Lattice, is_lattice_point
+from graphtoric.polytope import HPolytope, contains
 from helpers import cofactor_det, gauss_rank, gauss_solve
 
 F = Fraction
@@ -44,6 +48,24 @@ class TestQMatrix:
 
     def test_transpose(self):
         assert mat([[1, 2, 3]]).transpose() == mat([[1], [2], [3]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_lattice_point((0.5, 0), Lattice(2, 1, ((1, 0), (0, 1)))),
+        lambda: HPolytope.from_inequalities(3, [((0.5, 0, 0), 1)]),
+        lambda: contains(HPolytope.from_inequalities(3, [((1, 0, 0), 1)]), (0.1, 0, 0)),
+        lambda: Lattice.from_generators([(0.1, 0), (0, 1)]),
+        lambda: AnalysisReport.from_json(
+            analyze_graph(multi_theta(2))[0].to_json().replace('"1/2"', "0.5")
+        ),
+    ],
+    ids=["is_lattice_point", "from_inequalities", "contains", "from_generators", "from_json"],
+)
+def test_entry_points_reject_floats(call):
+    with pytest.raises(TypeError, match="floating point"):
+        call()
 
 
 class TestDeterminant:

@@ -1,10 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from graphtoric import lattice_fan
-from graphtoric.exactmath import QMatrix, integer_det, primitive_direction
+from graphtoric.exactmath import QMatrix
 from graphtoric.graph_core import multi_theta
 from graphtoric.lattice_fan import (
     SINGULAR,
@@ -22,11 +22,12 @@ from graphtoric.lattice_fan import (
 )
 from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices
 from helpers import (
-    cofactor_det,
+    edge_route_verdict,
     gauss_rank,
     gf2_rank,
     graph_lattice_generators,
     inverse_lattice_member,
+    random_hsystem,
     random_trivalent_graph,
     rational_vpolytope,
     trinion_parity_vectors,
@@ -221,15 +222,15 @@ class TestLatticeOracles:
 class TestLatticePolytope:
     def test_genus_two_is_lattice_polytope(self, bundles):
         b = bundles["theta2"]
-        assert is_lattice_polytope(b.v, b.lattice).ok
+        assert is_lattice_polytope(b.vpoly, b.lattice).ok
 
     def test_integral_vertices_against_standard_lattice(self, bundles):
         Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert is_lattice_polytope(bundles["theta2"].v, Z3).ok
+        assert is_lattice_polytope(bundles["theta2"].vpoly, Z3).ok
 
     def test_dumbbell_offender(self, bundles):
         b = bundles["dumbbell"]
-        verdict = is_lattice_polytope(b.v, b.lattice)
+        verdict = is_lattice_polytope(b.vpoly, b.lattice)
         assert not verdict.ok
         assert verdict.offending == (F(1, 2), F(1), F(1, 2))
 
@@ -247,7 +248,7 @@ class TestLatticePolytope:
 class TestNormalFan:
     def test_genus_two_rays(self, bundles):
         b = bundles["theta2"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         assert set(fan.rays) == {(-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)}
         assert len(fan.maximal_cones) == 4
         assert all(len(c) == 3 for c in fan.maximal_cones)
@@ -264,15 +265,15 @@ class TestNormalFan:
 
     def test_origin_cone_of_genus_three(self, bundles):
         b = bundles["theta3"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         assert len(fan.rays) == 16
-        origin_index = b.v.vertices.index((F(0),) * 6)
+        origin_index = b.vpoly.vertices.index((F(0),) * 6)
         assert len(fan.maximal_cones[origin_index]) == 12
 
     def test_cone_count_and_spans(self, bundles):
         for b in bundles.values():
-            fan = normal_fan(b.h, b.v, b.facet_rows)
-            assert len(fan.maximal_cones) == len(b.v.vertices)
+            fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
+            assert len(fan.maximal_cones) == len(b.vpoly.vertices)
             for cone in fan.maximal_cones:
                 assert gauss_rank([fan.rays[i] for i in cone]) == fan.dim
 
@@ -280,13 +281,13 @@ class TestNormalFan:
 class TestMapFan:
     def test_identity(self, bundles):
         b = bundles["theta2"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         mapped = map_fan(fan, QMatrix.identity(3))
         assert mapped == fan
 
     def test_projective_space_fan(self, bundles):
         b = bundles["theta2"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         mapped = map_fan(fan, A_MAP)
         assert set(mapped.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)}
         assert mapped.maximal_cones == fan.maximal_cones
@@ -300,13 +301,13 @@ class TestMapFan:
 
     def test_singular_map_rejected(self, bundles):
         b = bundles["theta2"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         with pytest.raises(ValueError):
             map_fan(fan, QMatrix([[1, 1, 1], [1, 1, 1], [0, 0, 1]]))
 
     def test_dimension_mismatch_rejected(self, bundles):
         b = bundles["theta2"]
-        fan = normal_fan(b.h, b.v, b.facet_rows)
+        fan = normal_fan(b.hrep, b.vpoly, b.facet_rows)
         with pytest.raises(ValueError):
             map_fan(fan, QMatrix.identity(2))
 
@@ -352,44 +353,42 @@ class TestDelzantCheck:
         assert verdict.smooth_witness == (F(1), F(0))
         assert abs(verdict.smooth_witness_det) == 2
 
-    def test_integer_edge_matrices_match_fraction_route(self, monkeypatch):
-        # each matrix handed to integer_det has, in order and with their
-        # signs, the rows of the Fraction route (lattice pairing through
-        # basis.apply, then primitive_direction), and its determinant agrees
-        # with cofactor expansion
-        seen = []
-
-        def recording(rows):
-            seen.append([tuple(r) for r in rows])
-            return integer_det(rows)
-
-        monkeypatch.setattr(lattice_fan, "integer_det", recording)
+    def test_normal_fan_route_matches_edge_route(self):
+        # the normal-fan determinants and the edge route agree on the
+        # verdict, the witness vertex and whether a witness (|det| != 1)
+        # exists, on graph polytopes and on cut cubes against random
+        # triangular lattices
         rng = random.Random(8)
-        graphs = [multi_theta(2)] + [random_trivalent_graph(rng, 2) for _ in range(8)]
-        smooth = 0
-        for graph in graphs:
+        cases = []
+        for graph in [multi_theta(2)] + [
+            random_trivalent_graph(rng, 2 * rng.randint(1, 3)) for _ in range(60)
+        ]:
             h = build_hrep(graph)
+            cases.append((h, enumerate_vertices(h), build_lattice(graph)))
+        while len(cases) < 121:
+            n = rng.randint(2, 4)
+            h = random_hsystem(rng, n)
             v = enumerate_vertices(h)
-            lattice = build_lattice(graph)
-            seen.clear()
-            if delzant_check(h, v, lattice).overall != SMOOTH:
+            if v.dim != n:
                 continue
-            smooth += 1
-            facets = frozenset(lattice_fan.facet_defining_rows(h, v))
-            expected = [
-                [
-                    primitive_direction(
-                        lattice.basis.apply([a - b for a, b in zip(v.vertices[j], p)])
-                    )
-                    for j in neighbours
-                ]
-                for p, neighbours in zip(
-                    v.vertices, lattice_fan._edge_neighbours(v, facets, h.dim)
+            rows = tuple(
+                tuple(
+                    rng.randint(1, 3) if j == i else rng.choice((-2, -1, 1, 2)) if j > i else 0
+                    for j in range(n)
                 )
-            ]
-            assert seen == expected
-            assert all(abs(cofactor_det(m)) == 1 for m in seen)
-        assert smooth >= 3
+                for i in range(n)
+            )
+            cases.append((h, v, Lattice(n, rng.randint(1, 3), rows)))
+        seen = Counter()
+        for h, v, lattice in cases:
+            verdict = delzant_check(h, v, lattice)
+            simple, smooth, witness, witness_det, overall = edge_route_verdict(h, v, lattice)
+            assert (verdict.simple, verdict.smooth, verdict.smooth_witness, verdict.overall) == (
+                simple, smooth, witness, overall
+            )
+            assert (verdict.smooth_witness_det is None) == (witness_det is None)
+            seen[simple, overall] += 1
+        assert seen[True, SMOOTH] >= 10 and seen[True, SINGULAR] >= 10
 
     def test_smooth_implies_simple(self, bundles):
         for b in bundles.values():
@@ -424,5 +423,5 @@ class TestSingularityReport:
         # vertex-side smoothness and the fan identification must agree
         b = bundles["theta2"]
         assert b.verdict.overall == SMOOTH
-        mapped = map_fan(normal_fan(b.h, b.v, b.facet_rows), A_MAP)
+        mapped = map_fan(normal_fan(b.hrep, b.vpoly, b.facet_rows), A_MAP)
         assert set(mapped.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)}
