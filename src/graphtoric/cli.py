@@ -3,15 +3,16 @@
 Subcommands:
   theta    write a multi-theta graph file
   analyze  run the full pipeline on a graph and print a report
-  oracle   cross-check the two vertex enumeration algorithms
+  oracle   cross-check the two vertex enumeration algorithms (genus <= 3)
   batch    analyze a range of multi-theta graphs as a table
 
 Exit codes: 0 success, 1 usage, 2 invalid input, 3 internal
 contradiction (two routes that must agree disagreed).
 
 Reports are exact: every fraction is serialized as "p/q" (or "p" when
-integral), the JSON field order is fixed, and a report parsed back from
-its JSON form compares equal to the original.
+integral), and a report parsed back from its JSON form compares equal to
+the original.  REPORT_LAYOUT is the one place the JSON sections, keys and
+their order are fixed.
 """
 
 from __future__ import annotations
@@ -56,17 +57,39 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 
-# brute_force_vertices is exponential in the row count; past this ambient
-# dimension the cross-check is refused rather than left to crawl.
-ORACLE_DIM_LIMIT = 9
+# brute_force_vertices solves one system per n-row subset, exponential in
+# the row count; past this ambient dimension (genus 3) the cross-check is
+# refused rather than left to crawl: genus 3 has 8,008 subsets, genus 4
+# already C(24, 9) = 1,307,504.
+ORACLE_DIM_LIMIT = 6
 
 
-@dataclass(frozen=True)
+# The JSON report layout, the one place its field order is fixed: each
+# section (None for the top level) maps its JSON keys to AnalysisReport
+# fields, in output order.  to_json and from_json both read this table.
+REPORT_LAYOUT = (
+    ("graph", {"genus": "genus", "vertices": "graph_vertices",
+               "edges": "graph_edges", "loop_free": "loop_free"}),
+    ("polytope", {key: key for key in (
+        "ambient_dim", "affine_dim", "facet_count", "vertex_count",
+        "cube_vertex_count", "max_vertex_denominator")}),
+    ("lattice", {"covolume": "covolume"}),
+    ("verdict", {key: key for key in (
+        "simple", "simple_witness", "lattice_polytope", "smooth", "overall")}),
+    (None, {"elapsed_ms": "elapsed_ms"}),
+)
+# exact rationals: a "p/q" string each, a list of them for a point
+RATIONAL_FIELDS = frozenset({"covolume", "simple_witness"})
+
+
+@dataclass(frozen=True, kw_only=True)
 class AnalysisReport:
     """Everything the pipeline learns about one graph.
 
-    Vertex-dependent fields are None when enumeration was skipped.
-    ``covolume`` and witnesses are exact rationals.
+    The nine vertex-dependent fields default to None, their value when
+    enumeration was skipped.  ``covolume`` and witnesses are exact
+    rationals.  The JSON form follows REPORT_LAYOUT, which alone fixes
+    its key order.
     """
 
     genus: int
@@ -74,17 +97,17 @@ class AnalysisReport:
     graph_edges: int
     loop_free: bool
     ambient_dim: int
-    affine_dim: int | None
-    facet_count: int | None
-    vertex_count: int | None
+    affine_dim: int | None = None
+    facet_count: int | None = None
+    vertex_count: int | None = None
     cube_vertex_count: int
-    max_vertex_denominator: int | None
+    max_vertex_denominator: int | None = None
     covolume: Fraction
-    simple: bool | None
-    simple_witness: tuple[Fraction, ...] | None
-    lattice_polytope: bool | None
-    smooth: bool | None
-    overall: str | None
+    simple: bool | None = None
+    simple_witness: tuple[Fraction, ...] | None = None
+    lattice_polytope: bool | None = None
+    smooth: bool | None = None
+    overall: str | None = None
     elapsed_ms: int
 
     def __post_init__(self):
@@ -92,57 +115,28 @@ class AnalysisReport:
             raise ValueError("SMOOTH verdict with failing sub-verdicts")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "graph": {
-                    "genus": self.genus,
-                    "vertices": self.graph_vertices,
-                    "edges": self.graph_edges,
-                    "loop_free": self.loop_free,
-                },
-                "polytope": {
-                    "ambient_dim": self.ambient_dim,
-                    "affine_dim": self.affine_dim,
-                    "facet_count": self.facet_count,
-                    "vertex_count": self.vertex_count,
-                    "cube_vertex_count": self.cube_vertex_count,
-                    "max_vertex_denominator": self.max_vertex_denominator,
-                },
-                "lattice": {"covolume": str(self.covolume)},
-                "verdict": {
-                    "simple": self.simple,
-                    "simple_witness": _point_json(self.simple_witness),
-                    "lattice_polytope": self.lattice_polytope,
-                    "smooth": self.smooth,
-                    "overall": self.overall,
-                },
-                "elapsed_ms": self.elapsed_ms,
-            },
-            indent=2,
-        )
+        doc = {}
+        for section, keys in REPORT_LAYOUT:
+            out = doc if section is None else doc.setdefault(section, {})
+            for key, field in keys.items():
+                x = getattr(self, field)
+                if x is not None and field in RATIONAL_FIELDS:
+                    x = [str(c) for c in x] if isinstance(x, tuple) else str(x)
+                out[key] = x
+        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         d = json.loads(text)
-        return cls(
-            genus=d["graph"]["genus"],
-            graph_vertices=d["graph"]["vertices"],
-            graph_edges=d["graph"]["edges"],
-            loop_free=d["graph"]["loop_free"],
-            ambient_dim=d["polytope"]["ambient_dim"],
-            affine_dim=d["polytope"]["affine_dim"],
-            facet_count=d["polytope"]["facet_count"],
-            vertex_count=d["polytope"]["vertex_count"],
-            cube_vertex_count=d["polytope"]["cube_vertex_count"],
-            max_vertex_denominator=d["polytope"]["max_vertex_denominator"],
-            covolume=_frac(d["lattice"]["covolume"]),
-            simple=d["verdict"]["simple"],
-            simple_witness=_point_from_json(d["verdict"]["simple_witness"]),
-            lattice_polytope=d["verdict"]["lattice_polytope"],
-            smooth=d["verdict"]["smooth"],
-            overall=d["verdict"]["overall"],
-            elapsed_ms=d["elapsed_ms"],
-        )
+        fields = {}
+        for section, keys in REPORT_LAYOUT:
+            part = d if section is None else d[section]
+            for key, field in keys.items():
+                x = part[key]
+                if x is not None and field in RATIONAL_FIELDS:
+                    x = tuple(map(_frac, x)) if isinstance(x, list) else _frac(x)
+                fields[field] = x
+        return cls(**fields)
 
     def render(self) -> str:
         def yn(flag):
@@ -151,6 +145,7 @@ class AnalysisReport:
         def num(x):
             return "-" if x is None else str(x)
 
+        witness = self.simple_witness
         lines = [
             f"genus {self.genus}: {self.graph_vertices} vertices, "
             f"{self.graph_edges} edges, loop-free {yn(self.loop_free)}",
@@ -160,28 +155,12 @@ class AnalysisReport:
             f"max vertex denominator {num(self.max_vertex_denominator)}",
             f"lattice covolume {self.covolume}",
             f"simple {yn(self.simple)}"
-            + (
-                f" (witness {_point_str(self.simple_witness)})"
-                if self.simple_witness is not None
-                else ""
-            )
+            + (f" (witness ({', '.join(map(str, witness))}))" if witness is not None else "")
             + f", lattice polytope {yn(self.lattice_polytope)}, smooth {yn(self.smooth)}",
-            f"verdict: {self.overall if self.overall is not None else '-'}",
+            f"verdict: {num(self.overall)}",
             f"elapsed: {self.elapsed_ms} ms",
         ]
         return "\n".join(lines) + "\n"
-
-
-def _point_json(p):
-    return None if p is None else [str(x) for x in p]
-
-
-def _point_from_json(p):
-    return None if p is None else tuple(map(_frac, p))
-
-
-def _point_str(p) -> str:
-    return "(" + ", ".join(map(str, p)) + ")"
 
 
 @dataclass(frozen=True)
@@ -211,14 +190,11 @@ def analyze_graph(
     h = build_hrep(graph)
     cube_vertex_count = 1 << len(graph.cycle_basis())
     lattice = build_lattice(graph)
-    if skip_vertex_enum:
-        v = facet_rows = verdict = None
-        affine_dim = facet_count = vertex_count = max_denom = None
-        simple = simple_witness = lattice_poly = smooth = overall = None
-    else:
+    v = facet_rows = verdict = None
+    facts = {}
+    if not skip_vertex_enum:
         v = enumerate_vertices(h)
         denoms = [max(v.scale // gcd(v.scale, c) for c in p) for p in v.points]
-        max_denom = max(denoms, default=1)
         if denoms.count(1) != cube_vertex_count:
             raise ConsistencyError(
                 f"{denoms.count(1)} integer vertices enumerated, "
@@ -227,33 +203,27 @@ def analyze_graph(
         facet_rows = facet_defining_rows(h, v)
         verdict = delzant_check(h, v, lattice, facet_rows)
         apply_loop_free_guard(graph, verdict)
-        affine_dim = v.dim
-        facet_count = len(facet_rows)
-        vertex_count = len(v.points)
-        simple = verdict.simple
-        simple_witness = verdict.simple_witness
-        lattice_poly = verdict.lattice_polytope
-        smooth = verdict.smooth
-        overall = verdict.overall
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+        facts = dict(
+            affine_dim=v.dim,
+            facet_count=len(facet_rows),
+            vertex_count=len(v.points),
+            max_vertex_denominator=max(denoms, default=1),
+            simple=verdict.simple,
+            simple_witness=verdict.simple_witness,
+            lattice_polytope=verdict.lattice_polytope,
+            smooth=verdict.smooth,
+            overall=verdict.overall,
+        )
     report = AnalysisReport(
         genus=graph.genus,
         graph_vertices=graph.n_vertices,
         graph_edges=graph.n_edges,
         loop_free=graph.is_loop_free(),
         ambient_dim=h.dim,
-        affine_dim=affine_dim,
-        facet_count=facet_count,
-        vertex_count=vertex_count,
         cube_vertex_count=cube_vertex_count,
-        max_vertex_denominator=max_denom,
         covolume=lattice.covolume,
-        simple=simple,
-        simple_witness=simple_witness,
-        lattice_polytope=lattice_poly,
-        smooth=smooth,
-        overall=overall,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
+        **facts,
     )
     return report, AnalysisArtifacts(graph, h, v, facet_rows, lattice, verdict)
 

@@ -418,7 +418,7 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
 
     A candidate survives if its tight system has a unique solution that
     satisfies all rows.  Exponential in the row count; intended for
-    dimensions up to about 9.  Each solution becomes the primitive
+    dimensions up to about 6.  Each solution becomes the primitive
     homogeneous ray (t, t*x) and goes through the same builder as the
     double description rays.
     """

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,73 @@ from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
 from helpers import rational_vpolytope
 
 F = Fraction
+
+# The full JSON reports, key order included, with elapsed_ms set to 0.
+GOLDEN_THETA3_JSON = """\
+{
+  "graph": {
+    "genus": 3,
+    "vertices": 4,
+    "edges": 6,
+    "loop_free": true
+  },
+  "polytope": {
+    "ambient_dim": 6,
+    "affine_dim": 6,
+    "facet_count": 16,
+    "vertex_count": 10,
+    "cube_vertex_count": 8,
+    "max_vertex_denominator": 2
+  },
+  "lattice": {
+    "covolume": "1/8"
+  },
+  "verdict": {
+    "simple": false,
+    "simple_witness": [
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "0"
+    ],
+    "lattice_polytope": true,
+    "smooth": false,
+    "overall": "SINGULAR"
+  },
+  "elapsed_ms": 0
+}
+"""
+GOLDEN_THETA9_SKIP_JSON = """\
+{
+  "graph": {
+    "genus": 9,
+    "vertices": 16,
+    "edges": 24,
+    "loop_free": true
+  },
+  "polytope": {
+    "ambient_dim": 24,
+    "affine_dim": null,
+    "facet_count": null,
+    "vertex_count": null,
+    "cube_vertex_count": 512,
+    "max_vertex_denominator": null
+  },
+  "lattice": {
+    "covolume": "1/32768"
+  },
+  "verdict": {
+    "simple": null,
+    "simple_witness": null,
+    "lattice_polytope": null,
+    "smooth": null,
+    "overall": null
+  },
+  "elapsed_ms": 0
+}
+"""
 
 
 def fake_smooth_verdict():
@@ -98,6 +166,20 @@ class TestAnalyze:
         assert data["lattice"]["covolume"] in human
         assert str(data["polytope"]["facet_count"]) in human
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["--theta", "3"], GOLDEN_THETA3_JSON),
+            (["--theta", "9", "--skip-vertex-enum"], GOLDEN_THETA9_SKIP_JSON),
+        ],
+        ids=["theta3", "theta9-skip"],
+    )
+    def test_golden_json_report(self, argv, golden, capsys):
+        # round trips and reruns cannot see a change of key order; this can
+        assert main(["analyze", "--json", *argv]) == 0
+        out = capsys.readouterr().out
+        assert re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out) == golden
+
     def test_graph_file_input(self, tmp_path, capsys):
         path = tmp_path / "dumbbell.graph"
         path.write_text("0 0\n0 1\n1 1\n")
@@ -172,7 +254,12 @@ class TestOracle:
 
     def test_size_guard(self, capsys):
         assert main(["oracle", "--theta", "5"]) == 2
-        assert "dimension 9" in capsys.readouterr().err
+        assert "dimension 6" in capsys.readouterr().err
+
+    def test_genus_four_is_refused(self, capsys):
+        # C(24, 9) = 1,307,504 row subsets would take minutes to solve
+        assert main(["oracle", "--theta", "4"]) == 2
+        assert "dimension 6, got 9" in capsys.readouterr().err
 
     def test_mismatch_is_contradiction(self, monkeypatch, capsys):
         real = cli.enumerate_vertices

@@ -357,29 +357,39 @@ class TestDelzantCheck:
         # the normal-fan determinants and the edge route agree on the
         # verdict, the witness vertex and whether a witness (|det| != 1)
         # exists, on graph polytopes and on cut cubes against random
-        # triangular lattices
+        # triangular lattices; the cut cubes of dimension 5-6 have only
+        # 1-2 extra rows, and every other one is paired with Z^n (scale 1,
+        # unit diagonal), so both verdicts of a simple polytope reach the
+        # determinant there too
         rng = random.Random(8)
+
+        def triangular_rows(n, unit):
+            return tuple(
+                tuple(
+                    (1 if unit else rng.randint(1, 3)) if j == i
+                    else rng.choice((-2, -1, 1, 2)) if j > i else 0
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+
         cases = []
         for graph in [multi_theta(2)] + [
             random_trivalent_graph(rng, 2 * rng.randint(1, 3)) for _ in range(60)
         ]:
             h = build_hrep(graph)
             cases.append((h, enumerate_vertices(h), build_lattice(graph)))
-        while len(cases) < 121:
-            n = rng.randint(2, 4)
-            h = random_hsystem(rng, n)
+        while len(cases) < 201:
+            high = len(cases) >= 121
+            n = rng.randint(5, 6) if high else rng.randint(2, 4)
+            h = random_hsystem(rng, n, extra_rows=rng.randint(1, 2) if high else 3)
             v = enumerate_vertices(h)
             if v.dim != n:
                 continue
-            rows = tuple(
-                tuple(
-                    rng.randint(1, 3) if j == i else rng.choice((-2, -1, 1, 2)) if j > i else 0
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            cases.append((h, v, Lattice(n, rng.randint(1, 3), rows)))
-        seen = Counter()
+            unit = high and len(cases) % 2 == 0
+            rows = triangular_rows(n, unit)
+            cases.append((h, v, Lattice(n, 1 if unit else rng.randint(1, 3), rows)))
+        seen, seen_high = Counter(), Counter()
         for h, v, lattice in cases:
             verdict = delzant_check(h, v, lattice)
             simple, smooth, witness, witness_det, overall = edge_route_verdict(h, v, lattice)
@@ -388,7 +398,10 @@ class TestDelzantCheck:
             )
             assert (verdict.smooth_witness_det is None) == (witness_det is None)
             seen[simple, overall] += 1
+            if h.dim >= 5:
+                seen_high[simple, overall] += 1
         assert seen[True, SMOOTH] >= 10 and seen[True, SINGULAR] >= 10
+        assert seen_high[True, SMOOTH] >= 5 and seen_high[True, SINGULAR] >= 5
 
     def test_smooth_implies_simple(self, bundles):
         for b in bundles.values():
