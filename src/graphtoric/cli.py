@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactmath import _frac
+from .exactmath import exact
 from .graph_core import (
     GraphError,
     TrivalentGraph,
@@ -134,7 +134,7 @@ class AnalysisReport:
             for key, field in keys.items():
                 x = part[key]
                 if x is not None and field in RATIONAL_FIELDS:
-                    x = tuple(map(_frac, x)) if isinstance(x, list) else _frac(x)
+                    x = tuple(map(exact, x)) if isinstance(x, list) else exact(x)
                 fields[field] = x
         return cls(**fields)
 

@@ -20,7 +20,8 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-def _frac(x) -> Fraction:
+def exact(x) -> Fraction:
+    """x as a Fraction; floats are refused, since they are not exact."""
     if isinstance(x, float):
         raise TypeError("floating point values are not allowed; pass int or Fraction")
     return Fraction(x)
@@ -32,7 +33,7 @@ class QMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        data = tuple(tuple(exact(x) for x in row) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(data[0])
@@ -61,7 +62,7 @@ class QMatrix:
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
-        vec = [_frac(x) for x in v]
+        vec = [exact(x) for x in v]
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
@@ -133,7 +134,7 @@ class SolveResult:
 
 def solve(m: QMatrix, b: Sequence) -> SolveResult:
     """Classify m*x = b exactly and return the solution when unique."""
-    rhs = [_frac(x) for x in b]
+    rhs = [exact(x) for x in b]
     if len(rhs) != m.nrows:
         raise ValueError("right-hand side length does not match row count")
     aug = [list(row) + [val] for row, val in zip(m.rows, rhs)]
@@ -237,25 +238,19 @@ def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
     return QMatrix(a), QMatrix(u)
 
 
-def primitive(v: Sequence) -> tuple[int, ...]:
+def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    ints = []
-    for x in v:
-        f = _frac(x)
-        if f.denominator != 1:
-            raise ValueError("primitive requires integer coordinates")
-        ints.append(int(f))
-    g = gcd(*ints)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("the zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector spanning the same ray as a rational v."""
-    fr = [_frac(x) for x in v]
+    fr = [exact(x) for x in v]
     mult = lcm(*(f.denominator for f in fr))
-    return primitive([f * mult for f in fr])
+    return primitive([f.numerator * (mult // f.denominator) for f in fr])
 
 
 class EchelonBasis:
@@ -270,7 +265,7 @@ class EchelonBasis:
 
     def add(self, v: Sequence) -> bool:
         """Reduce v against the basis; absorb and return True if independent."""
-        vec = [_frac(x) for x in v]
+        vec = [exact(x) for x in v]
         for piv, row in self._rows:
             if vec[piv]:
                 f = vec[piv] / row[piv]

@@ -26,9 +26,9 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import QMatrix, _frac, det, hnf, integer_det, primitive_direction
+from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, _primitive, facet_defining_rows, is_simple
+from .polytope import HPolytope, VPolytope, facet_defining_rows, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -60,7 +60,7 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, generators: Sequence[Sequence]) -> "Lattice":
-        gens = tuple(tuple(_frac(x) for x in g) for g in generators)
+        gens = tuple(tuple(exact(x) for x in g) for g in generators)
         if not gens:
             raise ValueError("no generators")
         n = len(gens[0])
@@ -104,7 +104,7 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
     """Whether rational x is an integer combination of the basis rows."""
-    x = [_frac(c) for c in x]
+    x = [exact(c) for c in x]
     k = lcm(*(c.denominator for c in x))
     return _first_non_member([[c.numerator * (k // c.denominator) for c in x]], k, lattice) is None
 
@@ -176,7 +176,7 @@ def normal_fan(
         facet_rows = facet_defining_rows(h, v)
     ray_ids: dict[tuple[int, ...], int] = {}
     ray_of_row = {
-        i: ray_ids.setdefault(_primitive([-x for x in h.rows[i].a]), len(ray_ids))
+        i: ray_ids.setdefault(primitive([-x for x in h.rows[i].a]), len(ray_ids))
         for i in facet_rows
     }
     cones = tuple(
@@ -219,7 +219,7 @@ class DelzantVerdict:
     lattice_offender: tuple[Fraction, ...] | None
     smooth: bool
     smooth_witness: tuple[Fraction, ...] | None
-    smooth_witness_det: Fraction | None
+    smooth_witness_det: int | None
     overall: str
 
 
@@ -250,7 +250,7 @@ def delzant_check(
     if simplicity.simple:
         fan = normal_fan(h, v, facet_rows)
         diagonal = abs(prod(row[i] for i, row in enumerate(lattice.rows)))
-        coords = [_primitive(c) for c in _coordinates(fan.rays, diagonal, 1, lattice)]
+        coords = [primitive(c) for c in _coordinates(fan.rays, diagonal, 1, lattice)]
         for i, cone in enumerate(fan.maximal_cones):
             d_value = integer_det([list(coords[r]) for r in cone])
             if not d_value:
@@ -258,7 +258,7 @@ def delzant_check(
                     f"the facet normals at simple vertex {v.vertex(i)} are dependent"
                 )
             if abs(d_value) != 1:
-                witness, witness_det = v.vertex(i), Fraction(d_value)
+                witness, witness_det = v.vertex(i), d_value
                 break
     smooth = simplicity.simple and witness is None
     return DelzantVerdict(

@@ -9,11 +9,13 @@ vertex of the graph, the pullback of the pair-of-pants tetrahedron
 under the projection onto that vertex's triple of edge coordinates.  The
 result is a full-dimensional polytope inside the unit cube [0,1]^(3g-3).
 
-All rows are stored as integer inequalities a.x <= b, gcd-reduced and
-deduplicated; a repeated index in a trinion triple (a loop) folds into a
-coefficient of 2.  Vertex enumeration is exact: the reference algorithm is
-the double description method on the homogenising cone, cross-checked by a
-brute-force tight-subset oracle.
+A row is just its inequality a.x <= b, with integer data, gcd-reduced.
+Both builders merge equal rows and nothing downstream merges them again;
+a row repeated in a hand-built system counts as one facet (see
+facet_defining_rows).  A repeated index in a trinion triple (a loop)
+folds into a coefficient of 2.  Vertex enumeration is exact: the
+reference algorithm is the double description method on the homogenising
+cone, cross-checked by a brute-force tight-subset oracle.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from math import gcd, lcm
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, _frac, primitive_direction, solve
+from .exactmath import QMatrix, UNIQUE, exact, primitive, primitive_direction, solve
 from .graph_core import TrivalentGraph
-
-# Provenance kinds for rows built from a trinion triple: "sum" is the
-# x1+x2+x3 <= 2 face, "tri{k}" the triangle inequality with the k-th
-# triple position negated.
-KIND_SUM = "sum"
-KIND_TRI = ("tri0", "tri1", "tri2")
 
 
 class NotFullDimensional(Exception):
@@ -44,19 +40,11 @@ class UnboundedPolytope(Exception):
     """Vertex enumeration hit an unbounded inequality system."""
 
 
-class RowTag(NamedTuple):
-    """Where an inequality row came from: graph vertex and row kind."""
-
-    vertex: int
-    kind: str
-
-
 class Row(NamedTuple):
-    """One inequality a.x <= b with integer data and provenance tags."""
+    """One inequality a.x <= b with integer data."""
 
     a: tuple[int, ...]
     b: int
-    tags: tuple[RowTag, ...]
 
 
 @dataclass(frozen=True)
@@ -68,34 +56,28 @@ class HPolytope:
 
     @classmethod
     def from_inequalities(cls, dim: int, inequalities: Iterable) -> "HPolytope":
-        """Build from (a, b) or (a, b, tags) items; rows may be rational.
+        """Build from (a, b) items; rows may be rational.
 
         Each row is scaled to integers, gcd-reduced, and exact duplicates
-        are merged (tags concatenated).  Trivial rows 0.x <= b with b >= 0
-        are dropped.
+        are merged, in first-seen order.  Trivial rows 0.x <= b with b >= 0
+        are dropped.  A row whose length is not ``dim`` raises ValueError.
         """
-        merged: dict[tuple[tuple[int, ...], int], list[RowTag]] = {}
-        for item in inequalities:
-            a, b = item[0], item[1]
-            tags = tuple(item[2]) if len(item) > 2 else ()
-            norm = _normalize_row(a, b)
-            if norm is None:
-                continue
-            merged.setdefault(norm, []).extend(tags)
-        rows = tuple(Row(a, b, tuple(tags)) for (a, b), tags in merged.items())
-        return cls(dim, rows)
+        rows = (_normalize_row(dim, a, b) for a, b in inequalities)
+        return cls(dim, tuple(dict.fromkeys(row for row in rows if row is not None)))
 
 
-def _normalize_row(a: Sequence, b) -> tuple[tuple[int, ...], int] | None:
-    row = [_frac(x) for x in (*a, b)]
+def _normalize_row(dim: int, a: Sequence, b) -> Row | None:
+    if len(a) != dim:
+        raise ValueError(f"row {tuple(a)} has length {len(a)}, expected {dim}")
+    row = [exact(x) for x in (*a, b)]
     mult = lcm(*(x.denominator for x in row))
     *ints, rb = [x.numerator * (mult // x.denominator) for x in row]
     g = gcd(*ints, rb)
     if g == 0:
         return None  # 0 <= 0
     if all(x == 0 for x in ints):
-        return None if rb > 0 else (tuple(ints), -1)  # keep only 0 <= -1 markers
-    return tuple(x // g for x in ints), rb // g
+        return None if rb > 0 else Row(tuple(ints), -1)  # keep only 0 <= -1 markers
+    return Row(tuple(x // g for x in ints), rb // g)
 
 
 def build_hrep(graph: TrivalentGraph) -> HPolytope:
@@ -103,27 +85,28 @@ def build_hrep(graph: TrivalentGraph) -> HPolytope:
 
     Emits the four tetrahedron rows per trinion triple, with a loop's
     repeated index summed into a single coefficient.  Each row has a +-1
-    entry, so it is primitive; duplicates merge, tags concatenated.
+    entry, so it is primitive; duplicates (a multi-edge gives some twice)
+    merge, in first-seen order.
     """
     n = graph.n_edges
-    merged: dict[tuple[tuple[int, ...], int], list[RowTag]] = {}
+    rows: dict[Row, None] = {}
     for triple in graph.trinion_triples():
         coeffs = [0] * n
         for index in triple.edges:
             coeffs[index] += 1
-        merged.setdefault((tuple(coeffs), 2), []).append(RowTag(triple.vertex, KIND_SUM))
+        rows[Row(tuple(coeffs), 2)] = None
         for pos in range(3):
             # the row x_pos - (the other two) <= 0, i.e. the triangle inequality
             row = [0] * n
             for q, index in enumerate(triple.edges):
                 row[index] += 1 if q == pos else -1
-            merged.setdefault((tuple(row), 0), []).append(RowTag(triple.vertex, KIND_TRI[pos]))
-    return HPolytope(n, tuple(Row(a, b, tuple(tags)) for (a, b), tags in merged.items()))
+            rows[Row(tuple(row), 0)] = None
+    return HPolytope(n, tuple(rows))
 
 
 def contains(h: HPolytope, x: Sequence) -> bool:
     """Exact membership test."""
-    point = [_frac(v) for v in x]
+    point = [exact(v) for v in x]
     if len(point) != h.dim:
         raise ValueError(f"point has length {len(point)}, expected {h.dim}")
     return all(
@@ -141,10 +124,11 @@ class VPolytope:
 
     ``incidence[i]`` lists the indices of all H-rows tight at vertex i;
     ``dim`` is the affine dimension of the vertex set (-1 when empty).
-    When the polytope is full-dimensional and its rows are normalized and
-    deduplicated, the incidence alone decides the facets: row i defines a
-    facet iff it is tight at n or more vertices and no other row is tight
-    at a strict superset of them (see facet_defining_rows).
+    When the polytope is full-dimensional, the incidence alone decides the
+    facets: row i defines a facet iff it is tight at n or more vertices,
+    no other row is tight at a strict superset of them, and no earlier row
+    is tight at exactly them (a repeated or scaled row names the same
+    facet; see facet_defining_rows).
     """
 
     dim: int
@@ -168,31 +152,28 @@ class VPolytope:
 
 
 def _homogeneous_rows(h: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Distinct rows (b, -a) of the homogenising cone, sorted, with the
-    extra row t >= 0; and per row the bitmask of the H-rows it came from.
-
-    The t >= 0 row belongs to no H-row (unless a caller built a trivial
-    0.x <= 1 row by hand, which is tight at no vertex either way).
+    """The rows of the homogenising cone, sorted: t >= 0 and one row
+    (b, -a) per H-row, not merged again (the builders merge equal H-rows);
+    and per row the index of its H-row, -1 for t >= 0.
     """
-    n = h.dim
-    sources: dict[tuple[int, ...], int] = {(1,) + (0,) * n: 0}
-    for i, row in enumerate(h.rows):
-        key = (row.b,) + tuple(-x for x in row.a)
-        sources[key] = sources.get(key, 0) | 1 << i
-    rows = sorted(sources)
-    return rows, [sources[r] for r in rows]
+    keyed = sorted(
+        [((1,) + (0,) * h.dim, -1)]
+        + [((row.b, *(-x for x in row.a)), i) for i, row in enumerate(h.rows)]
+    )
+    return [row for row, _ in keyed], [i for _, i in keyed]
 
 
 def _vpolytope_from_rays(
     rows: Sequence[tuple[int, ...]],
-    row_sources: Sequence[int],
+    row_of: Sequence[int],
     rays: Sequence[tuple[int, ...]],
     zmasks: Sequence[int],
 ) -> VPolytope:
     """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0.
 
     ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r;
-    mapping each row back through ``row_sources`` gives the incidence.
+    mapping each through ``row_of`` gives the incidence.  The t >= 0 row
+    vanishes on no such ray, so every mapped index is an H-row.
     The scale is the lcm L of all t, which is the lcm of all vertex
     denominators because each ray is primitive, and vertex x is kept as
     the integer point L*x.  The affine dimension of a polytope is n minus
@@ -203,15 +184,10 @@ def _vpolytope_from_rays(
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     order = sorted(range(len(rays)), key=points.__getitem__)
-    incidence = []
-    for r in order:
-        tight = 0
-        for k in _bits(zmasks[r]):
-            tight |= row_sources[k]
-        incidence.append(tuple(_bits(tight)))
+    incidence = tuple(tuple(sorted(row_of[k] for k in _bits(zmasks[r]))) for r in order)
     equalities = [rows[k] for k in _bits(reduce(and_, zmasks))]
     dim = len(rows[0]) - 1 - _integer_rank(equalities)
-    return VPolytope(dim, scale, tuple(points[r] for r in order), tuple(incidence))
+    return VPolytope(dim, scale, tuple(points[r] for r in order), incidence)
 
 
 def _bits(mask: int) -> list[int]:
@@ -224,11 +200,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*v)
-    return tuple(x // g for x in v)
-
-
 def _echelon_insert(basis: list[tuple[int, Sequence[int]]], vec: Sequence[int], width: int) -> bool:
     """Clear vec at each pivot of ``basis`` (sorted by pivot; rows primitive,
     zero left of the pivot) by integer cross-multiplication, then add it and
@@ -239,7 +210,7 @@ def _echelon_insert(basis: list[tuple[int, Sequence[int]]], vec: Sequence[int], 
             vec = [a * x - b * y for x, y in zip(vec, row)]
     piv = next((i for i in range(width) if vec[i]), None)
     if piv is not None:
-        basis.append((piv, _primitive(vec)))
+        basis.append((piv, primitive(vec)))
         basis.sort(key=lambda t: t[0])
     return piv is not None
 
@@ -275,7 +246,7 @@ def _initial_cone(rows: Sequence[Sequence[int]], d: int) -> tuple[list[int], lis
         _echelon_insert(diagonal, row, d)
     scale = lcm(*(row[piv] for piv, row in diagonal))
     scaled_inverse = [[x * (scale // row[piv]) for x in row[d:]] for piv, row in diagonal]
-    return initial, [_primitive(col) for col in zip(*scaled_inverse)]
+    return initial, [primitive(col) for col in zip(*scaled_inverse)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +275,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
     means the polytope is unbounded, which is reported as an error.
     """
-    rows, row_sources = _homogeneous_rows(h)
+    rows, row_of = _homogeneous_rows(h)
     d = h.dim + 1
     initial, rays = _initial_cone(rows, d)
     processed = sum(1 << j for j in initial)
@@ -345,7 +316,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
         if rays[r][0] == 0:
             raise UnboundedPolytope(f"recession direction {rays[r][1:]} found")
     return _vpolytope_from_rays(
-        rows, row_sources, [rays[r] for r in alive], [zmasks[r] for r in alive]
+        rows, row_of, [rays[r] for r in alive], [zmasks[r] for r in alive]
     )
 
 
@@ -423,7 +394,7 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
     double description rays.
     """
     n = h.dim
-    rows, row_sources = _homogeneous_rows(h)
+    rows, row_of = _homogeneous_rows(h)
     found = set()
     rhs = [row.b for row in h.rows]
     for subset in itertools.combinations(range(len(h.rows)), n):
@@ -434,7 +405,7 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
             found.add(primitive_direction((1,) + result.solution))
     rays = list(found)
     zmasks = [_zero_mask([_idot(ray, row) for row in rows], range(len(rows))) for ray in rays]
-    return _vpolytope_from_rays(rows, row_sources, rays, zmasks)
+    return _vpolytope_from_rays(rows, row_of, rays, zmasks)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +415,12 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
 def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     """Indices of rows whose tight vertex set spans a facet.
 
-    Combinatorial criterion, valid for a full-dimensional polytope with
-    normalized, deduplicated rows: row i is a facet iff it is tight at
-    n or more vertices and no other row is tight at a strict superset of
-    those vertices.  Only the incidence bitmasks are read.
+    Combinatorial criterion, valid for a full-dimensional polytope: row i
+    is a facet iff it is tight at n or more vertices and no other row is
+    tight at a strict superset of those vertices.  Rows tight at the same
+    n or more vertices lie on the same facet hyperplane (a repeated or
+    scaled row), so only the first of them is kept.  Only the incidence
+    bitmasks are read.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
@@ -459,6 +432,7 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
         i
         for i, mi in enumerate(masks)
         if mi.bit_count() >= h.dim
+        and masks.index(mi) == i
         and not any(mj != mi and mj & mi == mi for mj in masks)
     )
 

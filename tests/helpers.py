@@ -22,11 +22,8 @@ from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direc
 from graphtoric.graph_core import GraphError, TrivalentGraph
 from graphtoric.lattice_fan import SINGULAR, SMOOTH
 from graphtoric.polytope import (
-    KIND_SUM,
-    KIND_TRI,
     HPolytope,
     NotFullDimensional,
-    RowTag,
     UnboundedPolytope,
     VPolytope,
     contains,
@@ -121,14 +118,12 @@ def inequality_hrep(graph: TrivalentGraph) -> HPolytope:
         coeffs = [0] * n
         for index in triple.edges:
             coeffs[index] += 1
-        inequalities.append((tuple(coeffs), 2, (RowTag(triple.vertex, KIND_SUM),)))
+        inequalities.append((tuple(coeffs), 2))
         for pos in range(3):
             row = [0] * n
             for q, index in enumerate(triple.edges):
                 row[index] += -1 if q == pos else 1
-            inequalities.append(
-                (tuple(-x for x in row), 0, (RowTag(triple.vertex, KIND_TRI[pos]),))
-            )
+            inequalities.append((tuple(-x for x in row), 0))
     return HPolytope.from_inequalities(n, inequalities)
 
 

@@ -130,9 +130,9 @@ def test_many_row_system_matches_oracles(adjacency_steps):
     assert v.dim == 4
     assert sum(adjacency_steps) >= 200
     # the rows tight at the vertices, as homogeneous row indices
-    _, sources = polytope._homogeneous_rows(h)
-    tight = sum(1 << i for t in v.incidence for i in t)
-    rows = [k for k, source in enumerate(sources) if source & tight]
+    _, row_of = polytope._homogeneous_rows(h)
+    tight = {i for t in v.incidence for i in t}
+    rows = [k for k, i in enumerate(row_of) if i in tight]
     assert max(rows) >= 256 and len({k >> 3 for k in rows}) >= 30
 
 

@@ -351,6 +351,7 @@ class TestDelzantCheck:
         assert verdict.simple
         assert verdict.overall == SINGULAR
         assert verdict.smooth_witness == (F(1), F(0))
+        assert type(verdict.smooth_witness_det) is int
         assert abs(verdict.smooth_witness_det) == 2
 
     def test_normal_fan_route_matches_edge_route(self):

@@ -5,9 +5,11 @@ import pytest
 
 from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, multi_theta
+from graphtoric.lattice_fan import SMOOTH, Lattice, delzant_check
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
+    Row,
     UnboundedPolytope,
     brute_force_vertices,
     build_hrep,
@@ -57,11 +59,6 @@ class TestBuildHrep:
             ((-1, -1, 1), 0),
         }
 
-    def test_both_trinions_tagged_on_merged_rows(self, theta2):
-        h = build_hrep(theta2)
-        for row in h.rows:
-            assert sorted(t.vertex for t in row.tags) == [0, 1]
-
     def test_loop_folds_into_coefficient_two(self, dumbbell):
         h = build_hrep(dumbbell)
         assert {(r.a, r.b) for r in h.rows} == {
@@ -82,11 +79,15 @@ class TestBuildHrep:
                 assert all(-2 <= x <= 2 for x in row.a)
 
     def test_duplicate_inequalities_merge_scaled(self):
-        h = HPolytope.from_inequalities(
-            2, [((1, 0), 1, (("x", "first"),)), ((2, 0), 2, (("y", "second"),))]
-        )
+        h = HPolytope.from_inequalities(2, [((1, 0), 1), ((2, 0), 2)])
         assert len(h.rows) == 1
-        assert len(h.rows[0].tags) == 2
+
+    @pytest.mark.parametrize("dim, a", [(2, (1, 0, 7)), (3, (1, 0))], ids=["long", "short"])
+    def test_row_of_wrong_length_is_refused(self, dim, a):
+        # accepted before, such a row made enumerate_vertices die (IndexError, ZeroDivisionError)
+        rows = [(a, 1)] + [(tuple(int(i == k) for k in range(dim)), 1) for i in range(dim)]
+        with pytest.raises(ValueError, match=rf"row \(1, 0.*length {len(a)}, expected {dim}"):
+            HPolytope.from_inequalities(dim, rows)
 
 
 class TestEnumerateVertices:
@@ -192,6 +193,18 @@ class TestFacetsAndSimplicity:
         assert redundant not in facets
         assert len(facets) == 4
 
+    @pytest.mark.parametrize("extra", [Row((1, 0), 1), Row((2, 0), 2)], ids=["repeated", "scaled"])
+    def test_repeated_row_is_one_facet(self, extra):
+        # HPolytope(dim, rows) does not merge: the square's x <= 1 twice
+        square = HPolytope.from_inequalities(
+            2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+        )
+        h = HPolytope(2, square.rows + (extra,))
+        v = enumerate_vertices(h)
+        assert facet_defining_rows(h, v) == (0, 1, 2, 3)
+        assert is_simple(h, v).simple
+        assert delzant_check(h, v, Lattice(2, 1, ((1, 0), (0, 1)))).overall == SMOOTH
+
     def test_origin_witness(self, theta3):
         h = build_hrep(theta3)
         v = enumerate_vertices(h)
@@ -252,7 +265,7 @@ class TestBuildHrepOracle:
     def test_matches_normalising_route(self, theta2, theta3, theta4, dumbbell, k4):
         graphs = _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed=13)
         for graph in graphs + [theta4, multi_theta(8)]:
-            # HPolytope equality: the rows, their order and their tags
+            # HPolytope equality: the rows and their order
             assert build_hrep(graph) == inequality_hrep(graph)
 
 
