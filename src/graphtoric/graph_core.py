@@ -62,8 +62,10 @@ class TrivalentGraph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    # the spanning-tree paths found by validation, reused by cycle_basis
+    # the spanning-tree paths found by validation, reused by cycle_basis,
+    # and the order that walk first reached the vertices in
     _paths: list[int] = field(init=False, repr=False, compare=False)
+    _walk: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -83,10 +85,11 @@ class TrivalentGraph:
         for vertex in range(self.n_vertices):
             if degree.get(vertex, 0) != 3:
                 raise DegreeViolation(vertex, degree.get(vertex, 0))
-        paths = _tree_paths(self.n_vertices, self.edges)
+        paths, walk = _tree_paths(self.n_vertices, self.edges)
         if None in paths:
             raise Disconnected()
         object.__setattr__(self, "_paths", paths)
+        object.__setattr__(self, "_walk", walk)
         if self.genus < 2:
             raise GenusTooSmall(self.genus)
 
@@ -113,14 +116,16 @@ class TrivalentGraph:
         return [mask for mask in masks if mask]
 
     def trinion_triples(self) -> list[TrinionTriple]:
-        """One sorted triple of incident edge indices per vertex."""
+        """One sorted triple of incident edge indices per vertex, in walk
+        order: vertex 0, then each vertex as the spanning-tree walk first
+        reaches it, so each is adjacent to an earlier one."""
         incident: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for index, (u, v) in enumerate(self.edges):
             incident[u].append(index)
             incident[v].append(index)
         return [
-            TrinionTriple(vertex, tuple(sorted(ids)))  # type: ignore[arg-type]
-            for vertex, ids in enumerate(incident)
+            TrinionTriple(vertex, tuple(sorted(incident[vertex])))  # type: ignore[arg-type]
+            for vertex in self._walk
         ]
 
 
@@ -192,20 +197,23 @@ def serialize_graph(graph: TrivalentGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in graph.edges)
 
 
-def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> list[int | None]:
+def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[list[int | None], list[int]]:
     """Per vertex, the bitmask of the spanning-tree edges on its path from
-    vertex 0, or None when the walk from vertex 0 does not reach it."""
+    vertex 0, or None when the walk from vertex 0 does not reach it; and
+    the reached vertices in the order the walk first reaches them."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for index, (u, v) in enumerate(edges):
         adjacency[u].append((v, index))
         adjacency[v].append((u, index))
     path: list[int | None] = [None] * n
     path[0] = 0
+    walk = [0]
     stack = [0]
     while stack:
         x = stack.pop()
         for y, index in adjacency[x]:
             if path[y] is None:
                 path[y] = path[x] ^ (1 << index)
+                walk.append(y)
                 stack.append(y)
-    return path
+    return path, walk

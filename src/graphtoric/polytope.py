@@ -49,10 +49,16 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class HPolytope:
-    """An inequality system A.x <= b with normalized integer rows."""
+    """An inequality system A.x <= b with normalized integer rows of length
+    ``dim`` (else ValueError), in the order vertex enumeration inserts them."""
 
     dim: int
     rows: tuple[Row, ...]
+
+    def __post_init__(self):
+        for row in self.rows:
+            if len(row.a) != self.dim:
+                raise ValueError(f"row {row.a} has length {len(row.a)}, expected {self.dim}")
 
     @classmethod
     def from_inequalities(cls, dim: int, inequalities: Iterable) -> "HPolytope":
@@ -60,15 +66,13 @@ class HPolytope:
 
         Each row is scaled to integers, gcd-reduced, and exact duplicates
         are merged, in first-seen order.  Trivial rows 0.x <= b with b >= 0
-        are dropped.  A row whose length is not ``dim`` raises ValueError.
+        are dropped.
         """
-        rows = (_normalize_row(dim, a, b) for a, b in inequalities)
+        rows = (_normalize_row(a, b) for a, b in inequalities)
         return cls(dim, tuple(dict.fromkeys(row for row in rows if row is not None)))
 
 
-def _normalize_row(dim: int, a: Sequence, b) -> Row | None:
-    if len(a) != dim:
-        raise ValueError(f"row {tuple(a)} has length {len(a)}, expected {dim}")
+def _normalize_row(a: Sequence, b) -> Row | None:
     row = [exact(x) for x in (*a, b)]
     mult = lcm(*(x.denominator for x in row))
     *ints, rb = [x.numerator * (mult // x.denominator) for x in row]
@@ -151,29 +155,20 @@ class VPolytope:
         return cache(lambda c: Fraction(c, scale))
 
 
-def _homogeneous_rows(h: HPolytope) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The rows of the homogenising cone, sorted: t >= 0 and one row
-    (b, -a) per H-row, not merged again (the builders merge equal H-rows);
-    and per row the index of its H-row, -1 for t >= 0.
-    """
-    keyed = sorted(
-        [((1,) + (0,) * h.dim, -1)]
-        + [((row.b, *(-x for x in row.a)), i) for i, row in enumerate(h.rows)]
-    )
-    return [row for row, _ in keyed], [i for _, i in keyed]
+def _homogeneous_rows(h: HPolytope) -> list[tuple[int, ...]]:
+    """The rows of the homogenising cone: t >= 0, then (b, -a) per H-row in
+    ``h.rows`` order, not merged again (the builders merge equal H-rows),
+    so homogeneous row k+1 is H-row k."""
+    return [(1,) + (0,) * h.dim] + [(row.b, *(-x for x in row.a)) for row in h.rows]
 
 
 def _vpolytope_from_rays(
-    rows: Sequence[tuple[int, ...]],
-    row_of: Sequence[int],
-    rays: Sequence[tuple[int, ...]],
-    zmasks: Sequence[int],
+    rows: Sequence[tuple[int, ...]], rays: Sequence[tuple[int, ...]], zmasks: Sequence[int]
 ) -> VPolytope:
     """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0.
 
-    ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r;
-    mapping each through ``row_of`` gives the incidence.  The t >= 0 row
-    vanishes on no such ray, so every mapped index is an H-row.
+    ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r: never
+    row 0 (t >= 0), and row k is H-row k-1, which gives the incidence.
     The scale is the lcm L of all t, which is the lcm of all vertex
     denominators because each ray is primitive, and vertex x is kept as
     the integer point L*x.  The affine dimension of a polytope is n minus
@@ -184,7 +179,7 @@ def _vpolytope_from_rays(
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     order = sorted(range(len(rays)), key=points.__getitem__)
-    incidence = tuple(tuple(sorted(row_of[k] for k in _bits(zmasks[r]))) for r in order)
+    incidence = tuple(tuple(k - 1 for k in _bits(zmasks[r])) for r in order)
     equalities = [rows[k] for k in _bits(reduce(and_, zmasks))]
     dim = len(rows[0]) - 1 - _integer_rank(equalities)
     return VPolytope(dim, scale, tuple(points[r] for r in order), incidence)
@@ -258,7 +253,8 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
 
     The system is homogenised to the cone {(t, x) : t >= 0, b*t - a.x >= 0}
     in dimension n+1 and the extreme rays are grown one inequality at a
-    time, in lexicographic row order, from the simplicial cone of the
+    time in ``h.rows`` order after t >= 0 (the order sets the size of the
+    intermediate cones, not the answer), from the simplicial cone of the
     first n+1 independent rows (fraction-free elimination, then integer
     Gauss-Jordan; see _initial_cone).  Rays are primitive integer
     vectors, so all arithmetic stays in Z.
@@ -275,7 +271,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
     means the polytope is unbounded, which is reported as an error.
     """
-    rows, row_of = _homogeneous_rows(h)
+    rows = _homogeneous_rows(h)
     d = h.dim + 1
     initial, rays = _initial_cone(rows, d)
     processed = sum(1 << j for j in initial)
@@ -315,9 +311,7 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     for r in alive:
         if rays[r][0] == 0:
             raise UnboundedPolytope(f"recession direction {rays[r][1:]} found")
-    return _vpolytope_from_rays(
-        rows, row_of, [rays[r] for r in alive], [zmasks[r] for r in alive]
-    )
+    return _vpolytope_from_rays(rows, [rays[r] for r in alive], [zmasks[r] for r in alive])
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -393,19 +387,15 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
     homogeneous ray (t, t*x) and goes through the same builder as the
     double description rays.
     """
-    n = h.dim
-    rows, row_of = _homogeneous_rows(h)
+    rows = _homogeneous_rows(h)
     found = set()
-    rhs = [row.b for row in h.rows]
-    for subset in itertools.combinations(range(len(h.rows)), n):
-        result = solve(
-            QMatrix([h.rows[i].a for i in subset]), [rhs[i] for i in subset]
-        )
+    for subset in itertools.combinations(h.rows, h.dim):
+        result = solve(QMatrix([row.a for row in subset]), [row.b for row in subset])
         if result.status == UNIQUE and contains(h, result.solution):
             found.add(primitive_direction((1,) + result.solution))
     rays = list(found)
     zmasks = [_zero_mask([_idot(ray, row) for row in rows], range(len(rows))) for ray in rays]
-    return _vpolytope_from_rays(rows, row_of, rays, zmasks)
+    return _vpolytope_from_rays(rows, rays, zmasks)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ def supporting_hsystem(rng: random.Random, n: int, n_rows: int, n_points: int) -
     Each row is a.x <= max a.p over the points, for n_rows distinct
     primitive directions a drawn from [-2, 2]^n, so every row is tight at
     some point and each point that is a vertex carries many of them: a
-    highly degenerate system whose tight rows run through the whole,
-    sorted, row range.
+    highly degenerate system whose tight rows run through the whole row
+    range.
     """
     points = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n_points)]
     directions = [a for a in itertools.product(range(-2, 3), repeat=n) if math.gcd(*a) == 1]

@@ -95,10 +95,15 @@ def adjacency_steps(monkeypatch):
 
 
 def _check_against_oracles(h):
-    rows, _ = polytope._homogeneous_rows(h)
+    rows = polytope._homogeneous_rows(h)
     assert polytope._initial_cone(rows, h.dim + 1) == fraction_initial_cone(rows, h.dim + 1)
     v = enumerate_vertices(h)
     assert v == fraction_vpolytope(h, v.vertices)
+    # the rows go in in h.rows order; the reversed order gives the same polytope
+    flipped = enumerate_vertices(HPolytope(h.dim, h.rows[::-1]))
+    assert (flipped.dim, flipped.scale, flipped.points) == (v.dim, v.scale, v.points)
+    last = len(h.rows) - 1
+    assert flipped.incidence == tuple(tuple(sorted(last - i for i in t)) for t in v.incidence)
     assert v.scale == math.lcm(*(x.denominator for p in v.vertices for x in p))
     assert all(p == tuple(v.scale * x for x in q) for p, q in zip(v.points, v.vertices))
     if v.dim == h.dim:
@@ -129,10 +134,8 @@ def test_many_row_system_matches_oracles(adjacency_steps):
     v = _check_against_oracles(h)
     assert v.dim == 4
     assert sum(adjacency_steps) >= 200
-    # the rows tight at the vertices, as homogeneous row indices
-    _, row_of = polytope._homogeneous_rows(h)
-    tight = {i for t in v.incidence for i in t}
-    rows = [k for k, i in enumerate(row_of) if i in tight]
+    # the rows tight at the vertices, as homogeneous row indices (H-row + 1)
+    rows = {i + 1 for t in v.incidence for i in t}
     assert max(rows) >= 256 and len({k >> 3 for k in rows}) >= 30
 
 
@@ -141,7 +144,7 @@ def test_initial_rays_are_tight_on_every_initial_row_but_their_own():
     systems = [build_hrep(graph) for graph in GRAPHS.values()]
     systems += [_hsystem(seed) for seed in HSYSTEM_SEEDS] + [_many_row_system()]
     for h in systems:
-        rows, _ = polytope._homogeneous_rows(h)
+        rows = polytope._homogeneous_rows(h)
         initial, rays = polytope._initial_cone(rows, h.dim + 1)
         for k, ray in enumerate(rays):
             for i, j in enumerate(initial):
@@ -170,7 +173,7 @@ def test_cut_cubes_cover_redundant_and_flat_cases():
 def test_initial_cone_of_a_slab_is_refused_by_both_routes():
     # 0 <= x <= 1 in the plane is invariant along y: rank 2 < d = 3
     h = HPolytope.from_inequalities(2, [((1, 0), 1), ((-1, 0), 0)])
-    rows, _ = polytope._homogeneous_rows(h)
+    rows = polytope._homogeneous_rows(h)
     with pytest.raises(UnboundedPolytope):
         fraction_initial_cone(rows, 3)
     with pytest.raises(UnboundedPolytope):
@@ -180,7 +183,7 @@ def test_initial_cone_of_a_slab_is_refused_by_both_routes():
 def test_hrep_and_initial_cone_build_no_fraction():
     assert fraction_calls(lambda: Fraction(1, 2) + 1) > 0  # the counter counts
     assert fraction_calls(build_hrep, multi_theta(8)) == 0
-    rows, _ = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
+    rows = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
     assert fraction_calls(polytope._initial_cone, rows, len(rows[0])) == 0
     assert fraction_calls(enumerate_vertices, build_hrep(multi_theta(6))) == 0
     assert fraction_calls(build_lattice, multi_theta(12)) == 0

@@ -118,7 +118,7 @@ class TestCycleBasis:
 
     def test_kept_tree_paths_stay_out_of_equality_and_repr(self, graphs):
         for graph in graphs:
-            assert graph._paths == _tree_paths(graph.n_vertices, graph.edges)
+            assert (graph._paths, graph._walk) == _tree_paths(graph.n_vertices, graph.edges)
             twin = TrivalentGraph(graph.n_vertices, graph.edges)
             assert twin == graph and hash(twin) == hash(graph)
             assert repr(graph) == (
@@ -140,6 +140,19 @@ class TestTrinionTriples:
     def test_sorted_ascending(self, k4):
         for t in k4.trinion_triples():
             assert list(t.edges) == sorted(t.edges)
+
+    def test_walk_order(self, dumbbell, k4):
+        # the order build_hrep emits the trinion rows in, and so the order
+        # the double description inserts them in
+        rng = random.Random(5)
+        randoms = [random_trivalent_graph(rng, n) for n in (2, 4, 8, 12, 22) for _ in range(4)]
+        for graph in [dumbbell, k4, *map(multi_theta, range(2, 10)), *randoms]:
+            order = [t.vertex for t in graph.trinion_triples()]
+            assert order[0] == 0
+            assert sorted(order) == list(range(graph.n_vertices))
+            for i, x in enumerate(order[1:], 1):
+                earlier = set(order[:i])
+                assert any(u == x and v in earlier or v == x and u in earlier for u, v in graph.edges)
 
     def test_every_edge_appears_twice_overall(self, theta3):
         counts = [0] * theta3.n_edges

@@ -86,8 +86,11 @@ class TestBuildHrep:
     def test_row_of_wrong_length_is_refused(self, dim, a):
         # accepted before, such a row made enumerate_vertices die (IndexError, ZeroDivisionError)
         rows = [(a, 1)] + [(tuple(int(i == k) for k in range(dim)), 1) for i in range(dim)]
-        with pytest.raises(ValueError, match=rf"row \(1, 0.*length {len(a)}, expected {dim}"):
+        message = rf"row \(1, 0.*length {len(a)}, expected {dim}"
+        with pytest.raises(ValueError, match=message):
             HPolytope.from_inequalities(dim, rows)
+        with pytest.raises(ValueError, match=message):
+            HPolytope(dim, tuple(Row(tuple(a), b) for a, b in rows))
 
 
 class TestEnumerateVertices:
