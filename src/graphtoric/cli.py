@@ -182,13 +182,13 @@ def analyze_graph(
 ) -> tuple[AnalysisReport, AnalysisArtifacts]:
     """Run every stage once, in the one place that sequences them.
 
-    The 2^g cube vertices are counted from the cycle basis and, when
-    vertices are enumerated, checked against the integer ones.  Raises
+    The 2^g cube vertices are counted from the genus and, when vertices
+    are enumerated, checked against the integer ones.  Raises
     ConsistencyError on a guard breach.
     """
     t0 = time.perf_counter()
     h = build_hrep(graph)
-    cube_vertex_count = 1 << len(graph.cycle_basis())
+    cube_vertex_count = 1 << graph.genus
     lattice = build_lattice(graph)
     v = facet_rows = verdict = None
     facts = {}

@@ -208,7 +208,7 @@ def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[list[int | 
     path: list[int | None] = [None] * n
     path[0] = 0
     walk = [0]
-    stack = [0]
+    stack = [0]  # as the DD row order, breadth-first visits more pairs at g >= 6
     while stack:
         x = stack.pop()
         for y, index in adjacency[x]:

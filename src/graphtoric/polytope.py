@@ -259,51 +259,53 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     Gauss-Jordan; see _initial_cone).  Rays are primitive integer
     vectors, so all arithmetic stays in Z.
 
-    Each ray keeps the id it was made with, so id order is list order;
-    ``live`` is the bitset of current ids and ``tight_rays[k]`` that of
-    the ids tight on processed row k, kept for the whole run.  A ray made
-    from (p, q) is a positive combination of two rays feasible on every
+    Each ray keeps the id it was made with, so id order is list order,
+    and its zero set among the processed rows; ``live`` is the bitset of
+    current ids and ``tight_rays[k]`` that of the ids tight on processed
+    row k, kept for the whole run.  Inserting row j takes its dot product
+    with each live ray, reading only the row's nonzero entries, and sets
+    bit j in the zero sets of the rays tight on it.  A ray made from
+    (p, q) is a positive combination of two rays feasible on every
     processed row, so there it vanishes exactly on their common zeros.
-    Its dots are computed only on the pending rows, last row first, so
-    that a prefix slice drops each inserted row.  Initial ray k is tight
-    on every initial row but the k-th, so its zero set there is known,
-    and its dots with the pending rows read only their nonzero entries.
-    Rays with t > 0 are the polytope vertices; a surviving ray with t = 0
-    means the polytope is unbounded, which is reported as an error.
+    Initial ray k is tight on every initial row but the k-th.  Rays with
+    t > 0 are the polytope vertices; a surviving ray with t = 0 means the
+    polytope is unbounded, which is reported as an error.
     """
     rows = _homogeneous_rows(h)
     d = h.dim + 1
     initial, rays = _initial_cone(rows, d)
     processed = sum(1 << j for j in initial)
-    pending = [j for j in range(len(rows)) if not processed >> j & 1][::-1]
-    sparse = [[(i, x) for i, x in enumerate(rows[j]) if x] for j in pending]
-    dots = [[sum(ray[i] * x for i, x in row) for row in sparse] for ray in rays]
-    zmasks = [processed & ~(1 << j) | _zero_mask(dot, pending) for j, dot in zip(initial, dots)]
+    zmasks = [processed & ~(1 << j) for j in initial]
     alive, live = list(range(d)), (1 << d) - 1
     tight_rays = {j: live & ~(1 << k) for k, j in enumerate(initial)}
 
-    for c in reversed(range(len(pending))):
-        j = pending[c]
-        pos = [r for r in alive if dots[r][c] > 0]
-        neg = [r for r in alive if dots[r][c] < 0]
-        alive = [r for r in alive if dots[r][c] >= 0]
-        tight = sum(1 << r for r in alive if not dots[r][c])
+    for j, row in enumerate(rows):
+        if processed >> j & 1:
+            continue
+        nonzero = [(i, x) for i, x in enumerate(row) if x]
+        side = {r: sum(rays[r][i] * x for i, x in nonzero) for r in alive}
+        pos = [r for r in alive if side[r] > 0]
+        neg = [r for r in alive if side[r] < 0]
+        alive = [r for r in alive if side[r] >= 0]
+        tight = 0
+        for r in alive:
+            if not side[r]:
+                tight |= 1 << r
+                zmasks[r] |= 1 << j
         if neg:
             for p, q in _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
-                alpha, beta = dots[p][c], dots[q][c]
+                alpha, beta = side[p], side[q]
                 vec = [alpha * y - beta * x for x, y in zip(rays[p], rays[q])]
                 g = gcd(*vec)
-                dot = [(alpha * y - beta * x) // g for x, y in zip(dots[p][:c], dots[q][:c])]
-                zmask = zmasks[p] & zmasks[q] & processed
+                zmask = zmasks[p] & zmasks[q]
                 for k in _bits(zmask):
                     tight_rays[k] |= 1 << len(rays)
                 tight |= 1 << len(rays)
                 alive.append(len(rays))
                 rays.append(tuple(x // g for x in vec))
-                dots.append(dot)
-                zmasks.append(zmask | 1 << j | _zero_mask(dot, pending))
+                zmasks.append(zmask | 1 << j)
             for q in neg:
-                rays[q] = dots[q] = None
+                rays[q] = None
             live = sum(1 << r for r in alive)
         tight_rays[j] = tight
         processed |= 1 << j
@@ -318,22 +320,14 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _zero_mask(dot: Sequence[int], index: Sequence[int]) -> int:
-    """Bitmask of the rows index[i] at which dot[i] is zero."""
-    mask = 0
-    for row, val in zip(index, dot):
-        if val == 0:
-            mask |= 1 << row
-    return mask
-
-
 def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
     """Yield (p, q) whose rays span a 2-face of the current cone.
 
     Combinatorial adjacency test for pointed cones (Fukuda & Prodon,
-    1996): the common zero set z of p and q among processed rows must not
-    be contained in the zero set of any third live ray.  The live rays
-    tight on all of z are the AND of ``live`` and ``tight_rays[k]`` over
+    1996): the common zero set z of p and q, which hold processed rows
+    only, must not lie in the zero set of any third live ray (a tight
+    ray's also holds the row being inserted, which no z does).  The live
+    rays tight on all of z are the AND of ``live`` and ``tight_rays[k]`` over
     k in z, and the pair is adjacent iff that AND is exactly {p, q}.
     The AND is taken one 8-row block of z at a time: the AND over each
     (block offset, bits) slice met is computed once per call and kept in
@@ -346,7 +340,7 @@ def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
     table: dict[int, int] = {}
     q_blocker: dict[int, int] = {}
     for p in pos:
-        zp = zmasks[p] & processed
+        zp = zmasks[p]
         blocker = None
         for q in neg:
             z = zp & zmasks[q]
@@ -394,7 +388,7 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
         if result.status == UNIQUE and contains(h, result.solution):
             found.add(primitive_direction((1,) + result.solution))
     rays = list(found)
-    zmasks = [_zero_mask([_idot(ray, row) for row in rows], range(len(rows))) for ray in rays]
+    zmasks = [sum(1 << k for k, row in enumerate(rows) if not _idot(ray, row)) for ray in rays]
     return _vpolytope_from_rays(rows, rays, zmasks)
 
 

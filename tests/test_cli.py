@@ -408,7 +408,7 @@ def stage_calls(monkeypatch):
 
 class TestStagesRunOnce:
     """Every stage once per graph; the cube vertices are counted from the
-    cycle basis, so cube_vertex_labellings is never called."""
+    genus, so cube_vertex_labellings is never called."""
 
     def test_batch(self, stage_calls, capsys):
         assert main(["batch", "2", "4", "--json"]) == 0

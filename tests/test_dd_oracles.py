@@ -74,8 +74,9 @@ def _many_row_system():
 @pytest.fixture
 def adjacency_steps(monkeypatch):
     """Check every _adjacent_pairs call of DD against the per-ray scan,
-    and each processed row's ray bitset against the live zero-masks; the
-    list collects the pair count of each insertion step."""
+    each processed row's ray bitset against the live zero-masks, and that
+    the zero sets of the positive and negative rays hold processed rows
+    only; the list collects the pair count of each insertion step."""
     real = polytope._adjacent_pairs
     steps = []
 
@@ -85,6 +86,7 @@ def adjacency_steps(monkeypatch):
             if processed >> k & 1:
                 expected = sum(1 << r for r in alive if zmasks[r] >> k & 1)
                 assert tight_rays[k] & live == expected
+        assert not any(zmasks[r] & ~processed for r in pos + neg)
         got = list(real(pos, neg, zmasks, processed, d, tight_rays, live))
         assert got == list(scan_adjacent_pairs(pos, neg, zmasks, processed, d, live))
         steps.append(len(got))
