@@ -194,7 +194,8 @@ def analyze_graph(
     facts = {}
     if not skip_vertex_enum:
         v = enumerate_vertices(h)
-        denoms = [max(v.scale // gcd(v.scale, c) for c in p) for p in v.points]
+        # lcm of s/gcd(s, c_i) over the coordinates is s/gcd(s, c_1, ..., c_n)
+        denoms = [v.scale // gcd(v.scale, *p) for p in v.points]
         if denoms.count(1) != cube_vertex_count:
             raise ConsistencyError(
                 f"{denoms.count(1)} integer vertices enumerated, "
@@ -326,7 +327,7 @@ def _cmd_batch(args, parser) -> int:
         parser.error("need 2 <= g_min <= g_max")
     failures = 0
     if not args.json:
-        print("g  cube_vertices  2^g_ok  origin_facets  6g-6_ok  verdict")
+        print("g  cube_vertices  origin_facets  6g-6_ok  verdict")
     for g in range(args.g_min, args.g_max + 1):
         try:
             row = _batch_row(g)
@@ -344,7 +345,6 @@ def _cmd_batch(args, parser) -> int:
         else:
             print(
                 f"{row['g']}  {row['cube_vertex_count']:>13}  "
-                f"{str(row['cube_count_ok']).lower():>6}  "
                 f"{row['origin_facet_count']:>13}  "
                 f"{str(row['origin_facet_ok']).lower() if row['origin_facet_ok'] is not None else '-':>7}  "
                 f"{row['overall']}"
@@ -359,7 +359,6 @@ def _batch_row(g: int) -> dict:
     return {
         "g": g,
         "cube_vertex_count": report.cube_vertex_count,
-        "cube_count_ok": report.cube_vertex_count == 2**g,
         "origin_facet_count": origin_facets,
         # the 6g-6 count only holds from genus 3 up
         "origin_facet_ok": (origin_facets == 6 * g - 6) if g >= 3 else None,

@@ -149,7 +149,13 @@ class LatticePolytopeVerdict(NamedTuple):
 
 
 def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdict:
-    """True iff every vertex lies in the lattice; else first bad vertex."""
+    """True iff every vertex lies in the lattice; else first bad vertex.
+
+    The vertices are tested against ``lattice`` itself, for a graph the
+    lattice L of build_lattice, not against its dual L*, the lattice
+    M = L* that delzant_check's choice N = L would give the vertices.
+    The two differ from multi_theta(3) on, whose vertices all lie in L
+    but not all in L*; the answer does not enter the verdict."""
     bad = _first_non_member(v.points, v.scale, lattice)
     return LatticePolytopeVerdict(bad is None, None if bad is None else v.vertex(bad))
 
@@ -233,7 +239,10 @@ def delzant_check(
 
     At a simple vertex the primitive inward normals of the n tight facets,
     written in coordinates of the lattice basis and made primitive, must
-    form a matrix of determinant +-1.  A normal u has the coordinates c
+    form a matrix of determinant +-1.  The normals are written in
+    ``lattice``, so it serves as the lattice N of the normal fan (for a
+    graph, N = L of build_lattice, and the vertices' lattice is M = L*;
+    see is_lattice_polytope).  A normal u has the coordinates c
     with c*rows = D*u, D the absolute product of the diagonal of the
     triangular rows, so every division of the forward substitution is
     exact (Cramer's rule); the determinant is over Z, and a zero one is

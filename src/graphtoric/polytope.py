@@ -259,84 +259,95 @@ def enumerate_vertices(h: HPolytope) -> VPolytope:
     Gauss-Jordan; see _initial_cone).  Rays are primitive integer
     vectors, so all arithmetic stays in Z.
 
-    Each ray keeps the id it was made with, so id order is list order,
-    and its zero set among the processed rows; ``live`` is the bitset of
-    current ids and ``tight_rays[k]`` that of the ids tight on processed
-    row k, kept for the whole run.  Inserting row j takes its dot product
-    with each live ray, reading only the row's nonzero entries, and sets
-    bit j in the zero sets of the rays tight on it.  A ray made from
-    (p, q) is a positive combination of two rays feasible on every
-    processed row, so there it vanishes exactly on their common zeros.
-    Initial ray k is tight on every initial row but the k-th.  Rays with
-    t > 0 are the polytope vertices; a surviving ray with t = 0 means the
-    polytope is unbounded, which is reported as an error.
+    ``rays`` and ``zmasks`` hold the current cone only: a ray's id is its
+    list position, and its zero set holds the processed rows that vanish
+    on it.  Inserting row j takes the row's dot product with each ray,
+    reading only the row's nonzero entries, and sorts the ray into
+    positive, negative or tight.  When there are both positive and
+    negative rays, the row index ``tight_rays[k]`` (the ids whose zero set
+    holds row k) is built from the zero sets by one transposition, and
+    each adjacent (positive, negative) pair makes a new ray.  A new ray
+    is a positive combination of two rays feasible on every processed
+    row, so there it vanishes exactly on their common zeros.  Then the
+    list is rebuilt: the positive and tight rays in their order, the tight
+    ones gaining bit j, then the new rays in pair order.  Initial ray k is
+    tight on every initial row but the k-th.  Rays with t > 0 are the
+    polytope vertices; a surviving ray with t = 0 means the polytope is
+    unbounded, which is reported as an error.
     """
     rows = _homogeneous_rows(h)
     d = h.dim + 1
     initial, rays = _initial_cone(rows, d)
     processed = sum(1 << j for j in initial)
     zmasks = [processed & ~(1 << j) for j in initial]
-    alive, live = list(range(d)), (1 << d) - 1
-    tight_rays = {j: live & ~(1 << k) for k, j in enumerate(initial)}
 
     for j, row in enumerate(rows):
-        if processed >> j & 1:
+        bit = 1 << j
+        if processed & bit:
             continue
         nonzero = [(i, x) for i, x in enumerate(row) if x]
-        side = {r: sum(rays[r][i] * x for i, x in nonzero) for r in alive}
-        pos = [r for r in alive if side[r] > 0]
-        neg = [r for r in alive if side[r] < 0]
-        alive = [r for r in alive if side[r] >= 0]
-        tight = 0
-        for r in alive:
-            if not side[r]:
-                tight |= 1 << r
-                zmasks[r] |= 1 << j
-        if neg:
-            for p, q in _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
-                alpha, beta = side[p], side[q]
+        dots, pos, neg, kept_rays, kept_zmasks = [], [], [], [], []
+        for r, ray in enumerate(rays):
+            dot = sum(ray[i] * x for i, x in nonzero)
+            dots.append(dot)
+            if dot < 0:
+                neg.append(r)
+                continue
+            if dot:
+                pos.append(r)
+                kept_zmasks.append(zmasks[r])
+            else:
+                kept_zmasks.append(zmasks[r] | bit)
+            kept_rays.append(ray)
+        if pos and neg:
+            tight_rays = _transpose(zmasks, processed.bit_length())
+            for p, q in _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays):
+                alpha, beta = dots[p], dots[q]
                 vec = [alpha * y - beta * x for x, y in zip(rays[p], rays[q])]
                 g = gcd(*vec)
-                zmask = zmasks[p] & zmasks[q]
-                for k in _bits(zmask):
-                    tight_rays[k] |= 1 << len(rays)
-                tight |= 1 << len(rays)
-                alive.append(len(rays))
-                rays.append(tuple(x // g for x in vec))
-                zmasks.append(zmask | 1 << j)
-            for q in neg:
-                rays[q] = None
-            live = sum(1 << r for r in alive)
-        tight_rays[j] = tight
-        processed |= 1 << j
+                kept_rays.append(tuple(x // g for x in vec))
+                kept_zmasks.append(zmasks[p] & zmasks[q] | bit)
+        rays, zmasks = kept_rays, kept_zmasks
+        processed |= bit
 
-    for r in alive:
-        if rays[r][0] == 0:
-            raise UnboundedPolytope(f"recession direction {rays[r][1:]} found")
-    return _vpolytope_from_rays(rows, [rays[r] for r in alive], [zmasks[r] for r in alive])
+    for ray in rays:
+        if ray[0] == 0:
+            raise UnboundedPolytope(f"recession direction {ray[1:]} found")
+    return _vpolytope_from_rays(rows, rays, zmasks)
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Entry k has bit r set iff masks[r] has bit k, for k < width; the
+    masks, at least one, must each be below 2**width.
+
+    The masks are written as width-digit binary strings, last mask first,
+    and joined, so row k is every width-th digit from digit width-1-k."""
+    spec = f"0{width}b"
+    s = "".join([format(m, spec) for m in reversed(masks)])
+    return [int(s[width - 1 - k :: width], 2) for k in range(width)]
+
+
+def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays):
     """Yield (p, q) whose rays span a 2-face of the current cone.
 
     Combinatorial adjacency test for pointed cones (Fukuda & Prodon,
-    1996): the common zero set z of p and q, which hold processed rows
-    only, must not lie in the zero set of any third live ray (a tight
-    ray's also holds the row being inserted, which no z does).  The live
-    rays tight on all of z are the AND of ``live`` and ``tight_rays[k]`` over
-    k in z, and the pair is adjacent iff that AND is exactly {p, q}.
-    The AND is taken one 8-row block of z at a time: the AND over each
-    (block offset, bits) slice met is computed once per call and kept in
-    ``table`` (the Four-Russians method).  Pairs with fewer than d-2
-    common tight rows cannot be adjacent and are skipped outright, and so
-    is a candidate whose z lies in the zero set of the third ray that
-    blocked p's last rejected partner, or q's.
+    1996): the common zero set z of p and q must not lie in the zero set
+    of any third ray of the cone, whose ids are the positions of
+    ``zmasks``.  The rays tight on all of z are the AND of
+    ``tight_rays[k]`` over k in z, and the pair is adjacent iff that AND
+    is exactly {p, q}.  The AND is taken one 8-row block of z at a time:
+    the AND over each (block offset, bits) slice met is computed once per
+    call and kept in ``table`` (the Four-Russians method).  Pairs with
+    fewer than d-2 common tight rows cannot be adjacent and are skipped
+    outright, and so is a candidate whose z lies in the zero set of the
+    third ray that blocked p's last rejected partner, or q's.
     """
     size = (processed.bit_length() + 7) // 8
+    every = (1 << len(zmasks)) - 1
     table: dict[int, int] = {}
     q_blocker: dict[int, int] = {}
     for p in pos:
@@ -352,13 +363,13 @@ def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays, live):
             if b is not None and b != p and not z & ~zmasks[b]:
                 continue
             pair = 1 << p | 1 << q
-            common = live
+            common = every
             for offset, bits in enumerate(z.to_bytes(size, "little")):
                 if bits:
                     key = offset << 8 | bits
                     block = table.get(key)
                     if block is None:
-                        block = live
+                        block = every
                         for k in _bits(bits << 8 * offset):
                             block &= tight_rays[k]
                         table[key] = block

@@ -189,22 +189,35 @@ def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     return tuple(facets)
 
 
-def scan_adjacent_pairs(pos, neg, zmasks, processed, d, live):
-    """Double description adjacency by scanning every third live ray.
+def scan_adjacent_pairs(pos, neg, zmasks, processed, d):
+    """Double description adjacency by scanning every third ray.
 
     (p, q) is adjacent iff at least d-2 processed rows vanish on both and
-    no third ray of the bitset ``live`` vanishes on all of them.
+    no third ray, at any position of ``zmasks``, vanishes on all of them.
     """
-    alive = [r for r in range(live.bit_length()) if live >> r & 1]
     for p in pos:
         zp = zmasks[p] & processed
         for q in neg:
             z = zp & zmasks[q]
             if z.bit_count() < d - 2:
                 continue
-            if any(r != p and r != q and z & ~zmasks[r] == 0 for r in alive):
+            if any(r != p and r != q and z & ~zr == 0 for r, zr in enumerate(zmasks)):
                 continue
             yield p, q
+
+
+def per_bit_row_index(zmasks, width):
+    """The double description's row index by a loop over bits: entry k
+    is the set of positions r whose zero set ``zmasks[r]`` holds row k,
+    for k < width."""
+    index = []
+    for k in range(width):
+        rays = 0
+        for r, z in enumerate(zmasks):
+            if z >> k & 1:
+                rays |= 1 << r
+        index.append(rays)
+    return index
 
 
 def fraction_initial_cone(rows, d):

@@ -318,7 +318,7 @@ class TestBatch:
         assert main(["batch", "2", "4", "--json"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["g"] for r in rows] == [2, 3, 4]
-        assert all(r["cube_count_ok"] for r in rows)
+        assert [r["cube_vertex_count"] for r in rows] == [4, 8, 16]
         assert rows[0]["origin_facet_ok"] is None
         assert rows[1]["origin_facet_ok"] is True
         assert rows[1]["origin_facet_count"] == 12
@@ -327,15 +327,15 @@ class TestBatch:
     def test_golden_json_rows(self, capsys):
         assert main(["batch", "2", "6", "--json"]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            '{"g": 2, "cube_vertex_count": 4, "cube_count_ok": true, "origin_facet_count": 3, '
+            '{"g": 2, "cube_vertex_count": 4, "origin_facet_count": 3, '
             '"origin_facet_ok": null, "overall": "SMOOTH"}',
-            '{"g": 3, "cube_vertex_count": 8, "cube_count_ok": true, "origin_facet_count": 12, '
+            '{"g": 3, "cube_vertex_count": 8, "origin_facet_count": 12, '
             '"origin_facet_ok": true, "overall": "SINGULAR"}',
-            '{"g": 4, "cube_vertex_count": 16, "cube_count_ok": true, "origin_facet_count": 18, '
+            '{"g": 4, "cube_vertex_count": 16, "origin_facet_count": 18, '
             '"origin_facet_ok": true, "overall": "SINGULAR"}',
-            '{"g": 5, "cube_vertex_count": 32, "cube_count_ok": true, "origin_facet_count": 24, '
+            '{"g": 5, "cube_vertex_count": 32, "origin_facet_count": 24, '
             '"origin_facet_ok": true, "overall": "SINGULAR"}',
-            '{"g": 6, "cube_vertex_count": 64, "cube_count_ok": true, "origin_facet_count": 30, '
+            '{"g": 6, "cube_vertex_count": 64, "origin_facet_count": 30, '
             '"origin_facet_ok": true, "overall": "SINGULAR"}',
         ]
 

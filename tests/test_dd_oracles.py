@@ -4,9 +4,13 @@ enumerate_vertices starts from an initial cone found by fraction-free
 elimination and integer Gauss-Jordan, reads incidence and dimension from
 the integer zero-masks of the double description, facet_defining_rows
 decides facets from incidence bitmasks, and _adjacent_pairs tests
-adjacency with ray bitsets.  Each is checked here against the slower
-route it replaced (tests/helpers.py) on graph polytopes and on random cut
-cubes with redundant rows.
+adjacency with ray bitsets.  The double description keeps a dense ray
+table, a ray's id being its position among the current rays, and builds
+its row index by one transposition of the zero sets (_transpose).  Each
+is checked here against the slower route it replaced (tests/helpers.py)
+on graph polytopes and on random cut cubes with redundant rows: the row
+index against a per-bit loop at every insertion step, and the adjacent
+pairs, in order, against a scan over every third ray.
 """
 
 import math
@@ -34,6 +38,7 @@ from helpers import (
     fraction_calls,
     fraction_initial_cone,
     fraction_vpolytope,
+    per_bit_row_index,
     random_trivalent_graph,
     redundant_hsystem,
     scan_adjacent_pairs,
@@ -74,21 +79,17 @@ def _many_row_system():
 @pytest.fixture
 def adjacency_steps(monkeypatch):
     """Check every _adjacent_pairs call of DD against the per-ray scan,
-    each processed row's ray bitset against the live zero-masks, and that
-    the zero sets of the positive and negative rays hold processed rows
-    only; the list collects the pair count of each insertion step."""
+    the row index from the transposition against a per-bit loop over the
+    current zero sets, and that every zero set holds processed rows only;
+    the list collects the pair count of each insertion step."""
     real = polytope._adjacent_pairs
     steps = []
 
-    def checked(pos, neg, zmasks, processed, d, tight_rays, live):
-        alive = [r for r in range(live.bit_length()) if live >> r & 1]
-        for k in range(processed.bit_length()):
-            if processed >> k & 1:
-                expected = sum(1 << r for r in alive if zmasks[r] >> k & 1)
-                assert tight_rays[k] & live == expected
-        assert not any(zmasks[r] & ~processed for r in pos + neg)
-        got = list(real(pos, neg, zmasks, processed, d, tight_rays, live))
-        assert got == list(scan_adjacent_pairs(pos, neg, zmasks, processed, d, live))
+    def checked(pos, neg, zmasks, processed, d, tight_rays):
+        assert not any(z & ~processed for z in zmasks)
+        assert tight_rays == per_bit_row_index(zmasks, processed.bit_length())
+        got = list(real(pos, neg, zmasks, processed, d, tight_rays))
+        assert got == list(scan_adjacent_pairs(pos, neg, zmasks, processed, d))
         steps.append(len(got))
         return got
 
@@ -210,3 +211,44 @@ def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
     report, art = analyze_graph(graph)
     assert report.overall == overall
     assert (art.verdict.lattice_offender is None) == art.verdict.smooth == (overall == SMOOTH)
+
+
+def _transposition_case(name):
+    """(masks, width) for the transposition test; widths 9 and 65 are just
+    past a byte and a machine word, and the 300-row system's vertex zero
+    sets (homogeneous row k+1 is H-row k) are 301 bits wide."""
+    if name == "300-rows":
+        v = enumerate_vertices(_many_row_system())
+        return [sum(1 << (i + 1) for i in t) for t in v.incidence], 301
+    if name == "all-zero":
+        return [0, 0, 0], 4
+    width = int(name.split("-")[1])
+    rng = random.Random(width)
+    return [rng.getrandbits(width) for _ in range(37)] + [1 << (width - 1)], width
+
+
+@pytest.mark.parametrize("name", ["all-zero", "width-1", "width-9", "width-65", "300-rows"])
+def test_transposition_matches_per_bit_loop(name):
+    masks, width = _transposition_case(name)
+    assert all(m < 1 << width for m in masks)
+    got = polytope._transpose(masks, width)
+    assert got == per_bit_row_index(masks, width)
+    if name == "300-rows":
+        assert sum(x != 0 for x in got[256:]) >= 10
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_vertex_denominators_match_fraction_vertices(name):
+    graph = GRAPHS[name]
+    report, art = analyze_graph(graph)
+    vertices = art.vpoly.vertices
+    assert report.max_vertex_denominator == max(x.denominator for p in vertices for x in p)
+    integer = sum(all(x.denominator == 1 for x in p) for p in vertices)
+    assert integer == report.cube_vertex_count == 2**graph.genus
+
+
+def test_theta7_counts():
+    # no other tier-1 test enumerates genus 7, whose double description
+    # peaks at 2,620 rays
+    report, _ = analyze_graph(multi_theta(7))
+    assert (report.vertex_count, report.facet_count) == (2376, 48)
