@@ -355,7 +355,8 @@ def _cmd_batch(args, parser) -> int:
 def _batch_row(g: int) -> dict:
     report, art = analyze_graph(multi_theta(g))
     origin = art.vpoly.points.index((0,) * art.hrep.dim)
-    origin_facets = len(set(art.facet_rows).intersection(art.vpoly.incidence[origin]))
+    facets = sum(1 << i for i in art.facet_rows)
+    origin_facets = (art.vpoly.tight[origin] & facets).bit_count()
     return {
         "g": g,
         "cube_vertex_count": report.cube_vertex_count,

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, facet_defining_rows, is_simple
+from .polytope import HPolytope, VPolytope, _bits, facet_defining_rows, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -177,7 +177,8 @@ class Fan:
 def normal_fan(
     h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...] | None = None
 ) -> Fan:
-    """Fan of inward facet normals; one maximal cone per vertex."""
+    """Fan of inward facet normals; one maximal cone per vertex, read from
+    the vertex's ``tight`` mask restricted to the facet rows."""
     if facet_rows is None:
         facet_rows = facet_defining_rows(h, v)
     ray_ids: dict[tuple[int, ...], int] = {}
@@ -185,9 +186,9 @@ def normal_fan(
         i: ray_ids.setdefault(primitive([-x for x in h.rows[i].a]), len(ray_ids))
         for i in facet_rows
     }
+    facets = sum(1 << i for i in ray_of_row)
     cones = tuple(
-        tuple(sorted(ray_of_row[i] for i in tight if i in ray_of_row))
-        for tight in v.incidence
+        tuple(sorted(ray_of_row[i] for i in _bits(tight & facets))) for tight in v.tight
     )
     return Fan(h.dim, tuple(ray_ids), cones)
 

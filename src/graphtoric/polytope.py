@@ -126,23 +126,28 @@ class VPolytope:
     lexicographic order of the vertices.  ``vertices`` is the rational
     tuple they stand for, built on first use.
 
-    ``incidence[i]`` lists the indices of all H-rows tight at vertex i;
-    ``dim`` is the affine dimension of the vertex set (-1 when empty).
-    When the polytope is full-dimensional, the incidence alone decides the
-    facets: row i defines a facet iff it is tight at n or more vertices,
-    no other row is tight at a strict superset of them, and no earlier row
-    is tight at exactly them (a repeated or scaled row names the same
-    facet; see facet_defining_rows).
+    ``tight[i]`` is a row bitmask: bit k is set iff H-row k is tight at
+    vertex i.  ``incidence[i]``, the same rows as an ascending index
+    tuple, is built on first use.  ``dim`` is the affine dimension of the
+    vertex set (-1 when empty).  When the polytope is full-dimensional,
+    the incidence alone decides the facets: row i defines a facet iff it
+    is tight at n or more vertices, no other row is tight at a strict
+    superset of them, and no earlier row is tight at exactly them (a
+    repeated or scaled row names the same facet; see facet_defining_rows).
     """
 
     dim: int
     scale: int
     points: tuple[tuple[int, ...], ...]
-    incidence: tuple[tuple[int, ...], ...]
+    tight: tuple[int, ...]
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(map(self._fraction, p)) for p in self.points)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_bits(mask)) for mask in self.tight)
 
     def vertex(self, i: int) -> tuple[Fraction, ...]:
         return tuple(map(self._fraction, self.points[i]))
@@ -168,7 +173,8 @@ def _vpolytope_from_rays(
     """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0.
 
     ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r: never
-    row 0 (t >= 0), and row k is H-row k-1, which gives the incidence.
+    row 0 (t >= 0), and row k is H-row k-1, so shifted down one bit it is
+    the vertex's ``tight`` mask.
     The scale is the lcm L of all t, which is the lcm of all vertex
     denominators because each ray is primitive, and vertex x is kept as
     the integer point L*x.  The affine dimension of a polytope is n minus
@@ -179,10 +185,10 @@ def _vpolytope_from_rays(
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     order = sorted(range(len(rays)), key=points.__getitem__)
-    incidence = tuple(tuple(k - 1 for k in _bits(zmasks[r])) for r in order)
+    tight = tuple(zmasks[r] >> 1 for r in order)
     equalities = [rows[k] for k in _bits(reduce(and_, zmasks))]
     dim = len(rows[0]) - 1 - _integer_rank(equalities)
-    return VPolytope(dim, scale, tuple(points[r] for r in order), incidence)
+    return VPolytope(dim, scale, tuple(points[r] for r in order), tight)
 
 
 def _bits(mask: int) -> list[int]:
@@ -415,14 +421,12 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     tight at a strict superset of those vertices.  Rows tight at the same
     n or more vertices lie on the same facet hyperplane (a repeated or
     scaled row), so only the first of them is kept.  Only the incidence
-    bitmasks are read.
+    is read: one transposition of the vertices' ``tight`` masks gives
+    each row's mask of tight vertices.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
-    masks = [0] * len(h.rows)
-    for vi, tight in enumerate(v.incidence):
-        for i in tight:
-            masks[i] |= 1 << vi
+    masks = _transpose(v.tight, len(h.rows))
     return tuple(
         i
         for i, mi in enumerate(masks)
@@ -445,11 +449,13 @@ class SimplicityVerdict:
 def is_simple(
     h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...] | None = None
 ) -> SimplicityVerdict:
+    """Whether every vertex lies on exactly n facets, counted as the
+    popcount of its ``tight`` mask restricted to the facet rows."""
     if facet_rows is None:
         facet_rows = facet_defining_rows(h, v)
-    facet_set = set(facet_rows)
-    for i, tight in enumerate(v.incidence):
-        count = sum(1 for k in tight if k in facet_set)
+    facets = sum(1 << k for k in set(facet_rows))
+    for i, tight in enumerate(v.tight):
+        count = (tight & facets).bit_count()
         if count != h.dim:
             return SimplicityVerdict(False, v.vertex(i), count)
     return SimplicityVerdict(True)

@@ -133,11 +133,12 @@ def inequality_hrep(graph: TrivalentGraph) -> HPolytope:
 
 def rational_vpolytope(dim: int, vertices, incidence) -> VPolytope:
     """A VPolytope holding the given rational vertices, in the given order,
-    scaled by the lcm of their denominators."""
+    scaled by the lcm of their denominators, with each vertex's tight row
+    indices made into its row bitmask."""
     vertices = [[Fraction(x) for x in p] for p in vertices]
     scale = math.lcm(*(x.denominator for p in vertices for x in p))
     points = tuple(tuple(int(x * scale) for x in p) for p in vertices)
-    return VPolytope(dim, scale, points, tuple(incidence))
+    return VPolytope(dim, scale, points, tuple(sum(1 << i for i in t) for t in incidence))
 
 
 def fraction_vpolytope(h: HPolytope, points) -> VPolytope:

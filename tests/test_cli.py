@@ -433,6 +433,13 @@ class TestReportValue:
         assert report.max_vertex_denominator == 1
         assert artifacts.vpoly is not None
 
+    def test_analyze_graph_leaves_incidence_unbuilt(self):
+        # the stages read the row bitmasks VPolytope.tight; the index
+        # tuples are built only when a caller reads them
+        _, artifacts = analyze_graph(graphtoric.multi_theta(4))
+        assert "incidence" not in artifacts.vpoly.__dict__
+        assert len(artifacts.vpoly.incidence) == len(artifacts.vpoly.tight)
+
     def test_smooth_claim_requires_sub_verdicts(self):
         with pytest.raises(ValueError):
             AnalysisReport(

@@ -102,6 +102,7 @@ def _check_against_oracles(h):
     assert polytope._initial_cone(rows, h.dim + 1) == fraction_initial_cone(rows, h.dim + 1)
     v = enumerate_vertices(h)
     assert v == fraction_vpolytope(h, v.vertices)
+    assert v.incidence == tuple(tuple(polytope._bits(m)) for m in v.tight)
     # the rows go in in h.rows order; the reversed order gives the same polytope
     flipped = enumerate_vertices(HPolytope(h.dim, h.rows[::-1]))
     assert (flipped.dim, flipped.scale, flipped.points) == (v.dim, v.scale, v.points)
@@ -219,7 +220,7 @@ def _transposition_case(name):
     sets (homogeneous row k+1 is H-row k) are 301 bits wide."""
     if name == "300-rows":
         v = enumerate_vertices(_many_row_system())
-        return [sum(1 << (i + 1) for i in t) for t in v.incidence], 301
+        return [t << 1 for t in v.tight], 301
     if name == "all-zero":
         return [0, 0, 0], 4
     width = int(name.split("-")[1])
