@@ -36,7 +36,6 @@ from .lattice_fan import (
     normal_fan,
 )
 from .polytope import (
-    EdgeLabelling,
     HPolytope,
     NotFullDimensional,
     SimplicityVerdict,
@@ -60,7 +59,6 @@ __all__ = [
     "DegreeViolation",
     "DelzantVerdict",
     "Disconnected",
-    "EdgeLabelling",
     "Fan",
     "GenusTooSmall",
     "GraphError",

@@ -129,19 +129,17 @@ class TrivalentGraph:
         ]
 
 
-def validate(edges: Iterable[tuple[int, int]], n_vertices: int | None = None) -> TrivalentGraph:
+def validate(edges: Iterable[tuple[int, int]]) -> TrivalentGraph:
     """Build a TrivalentGraph from raw endpoint pairs.
 
-    The vertex set is {0, ..., n_vertices-1}; when n_vertices is omitted
-    it is inferred as the largest endpoint plus one.  A vertex id missing
-    from the edge list therefore surfaces as DegreeViolation(v, 0).
+    The vertex set is {0, ..., m}, m the largest endpoint, so a vertex id
+    missing from the edge list surfaces as DegreeViolation(v, 0).  For an
+    explicit vertex count, build ``TrivalentGraph(n, edges)`` directly.
     """
     edge_list = tuple((int(u), int(v)) for u, v in edges)
     if not edge_list:
         raise GraphError("graph has no edges")
-    if n_vertices is None:
-        n_vertices = max(max(u, v) for u, v in edge_list) + 1
-    return TrivalentGraph(n_vertices, edge_list)
+    return TrivalentGraph(max(max(u, v) for u, v in edge_list) + 1, edge_list)
 
 
 def multi_theta(g: int) -> TrivalentGraph:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, _bits, facet_defining_rows, is_simple
+from .polytope import HPolytope, VPolytope, _bits, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -174,13 +174,10 @@ class Fan:
     maximal_cones: tuple[tuple[int, ...], ...]
 
 
-def normal_fan(
-    h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...] | None = None
-) -> Fan:
-    """Fan of inward facet normals; one maximal cone per vertex, read from
-    the vertex's ``tight`` mask restricted to the facet rows."""
-    if facet_rows is None:
-        facet_rows = facet_defining_rows(h, v)
+def normal_fan(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> Fan:
+    """Fan of the inward normals of ``facet_rows``, the result of
+    facet_defining_rows(h, v); one maximal cone per vertex, read from the
+    vertex's ``tight`` mask restricted to those rows."""
     ray_ids: dict[tuple[int, ...], int] = {}
     ray_of_row = {
         i: ray_ids.setdefault(primitive([-x for x in h.rows[i].a]), len(ray_ids))
@@ -231,12 +228,10 @@ class DelzantVerdict:
 
 
 def delzant_check(
-    h: HPolytope,
-    v: VPolytope,
-    lattice: Lattice,
-    facet_rows: tuple[int, ...] | None = None,
+    h: HPolytope, v: VPolytope, lattice: Lattice, facet_rows: tuple[int, ...]
 ) -> DelzantVerdict:
-    """Simplicity, then the determinant test on the normal fan.
+    """Simplicity, then the determinant test on the normal fan, both read
+    from ``facet_rows``, the result of facet_defining_rows(h, v).
 
     At a simple vertex the primitive inward normals of the n tight facets,
     written in coordinates of the lattice basis and made primitive, must
@@ -252,8 +247,6 @@ def delzant_check(
     Non-simple polytopes are SINGULAR immediately, with the simplicity
     witness carried through.
     """
-    if facet_rows is None:
-        facet_rows = facet_defining_rows(h, v)
     simplicity = is_simple(h, v, facet_rows)
     lp = is_lattice_polytope(v, lattice)
     witness = witness_det = None

@@ -422,10 +422,13 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     n or more vertices lie on the same facet hyperplane (a repeated or
     scaled row), so only the first of them is kept.  Only the incidence
     is read: one transposition of the vertices' ``tight`` masks gives
-    each row's mask of tight vertices.
+    each row's mask of tight vertices.  A mask naming a row at or beyond
+    ``len(h.rows)`` means ``v`` is another system's: ValueError.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
+    if max(v.tight) >> len(h.rows):
+        raise ValueError(f"vertex set names rows beyond the system's {len(h.rows)}")
     masks = _transpose(v.tight, len(h.rows))
     return tuple(
         i
@@ -446,13 +449,10 @@ class SimplicityVerdict:
     witness_facets: int | None = None
 
 
-def is_simple(
-    h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...] | None = None
-) -> SimplicityVerdict:
+def is_simple(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> SimplicityVerdict:
     """Whether every vertex lies on exactly n facets, counted as the
-    popcount of its ``tight`` mask restricted to the facet rows."""
-    if facet_rows is None:
-        facet_rows = facet_defining_rows(h, v)
+    popcount of its ``tight`` mask restricted to ``facet_rows``, the
+    result of facet_defining_rows(h, v); a repeated index counts once."""
     facets = sum(1 << k for k in set(facet_rows))
     for i, tight in enumerate(v.tight):
         count = (tight & facets).bit_count()
@@ -465,31 +465,21 @@ def is_simple(
 # Cube-vertex labellings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeLabelling:
-    """A 0/1 label per edge whose every trinion triple (loops doubled) is
-    a corner of the pair-of-pants tetrahedron."""
+def cube_vertex_labellings(graph: TrivalentGraph) -> list[tuple[int, ...]]:
+    """All admissible 0/1 edge labellings, one label per edge, sorted.
 
-    labels: tuple[int, ...]
-
-    def point(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x) for x in self.labels)
-
-
-def cube_vertex_labellings(graph: TrivalentGraph) -> list[EdgeLabelling]:
-    """All admissible 0/1 edge labellings, in lexicographic label order.
-
-    A triple is a tetrahedron corner exactly when it holds an even number
-    of ones, so the admissible labellings are the graph's GF(2) cycle
-    space: the 2^g sums of ``graph.cycle_basis()``.  Every labelling read
-    as a 0/1 point is a vertex of the polytope lying on the unit cube.
+    A labelling is admissible when every trinion triple (loops doubled)
+    is a corner of the pair-of-pants tetrahedron, that is, holds an even
+    number of ones, so the admissible labellings are the graph's GF(2)
+    cycle space: the 2^g sums of ``graph.cycle_basis()``.  Every
+    labelling read as a 0/1 point is a vertex of the polytope lying on
+    the unit cube.
     """
     span = [0]
     for cycle in graph.cycle_basis():
         span += [mask ^ cycle for mask in span]
     m = graph.n_edges
-    labels = sorted(tuple((mask >> i) & 1 for i in range(m)) for mask in span)
-    return [EdgeLabelling(x) for x in labels]
+    return sorted(tuple((mask >> i) & 1 for i in range(m)) for mask in span)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ import graphtoric
 import graphtoric.cli as cli
 from graphtoric import lattice_fan, polytope
 from graphtoric.cli import AnalysisReport, analyze_graph, main
+from graphtoric.graph_core import TrivalentGraph
 from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
-from helpers import rational_vpolytope
+from helpers import echelon_facet_rows, rational_vpolytope
 
 F = Fraction
 
@@ -339,6 +340,21 @@ class TestBatch:
             '"origin_facet_ok": true, "overall": "SINGULAR"}',
         ]
 
+    def test_origin_count_reads_only_facets(self, monkeypatch, capsys):
+        # a genus-3 graph with a loop: 11 rows are tight at its origin, and
+        # one of them is not a facet, so the 6g-6 check must read false
+        graph = TrivalentGraph(4, ((0, 1), (2, 3), (2, 2), (0, 3), (0, 1), (1, 3)))
+        h = polytope.build_hrep(graph)
+        v = polytope.enumerate_vertices(h)
+        origin = v.points.index((0,) * h.dim)
+        expected = len(set(v.incidence[origin]) & set(echelon_facet_rows(h, v)))
+        assert (len(v.incidence[origin]), expected) == (11, 10)
+        monkeypatch.setattr(cli, "multi_theta", lambda g: graph)
+        assert main(["batch", "3", "3", "--json"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["origin_facet_count"] == expected
+        assert row["origin_facet_ok"] is False
+
     def test_bad_range_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             main(["batch", "5", "4"])
@@ -455,3 +471,11 @@ class TestReportValue:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 1
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in graphtoric.__all__ if not hasattr(graphtoric, name)] == []
+        namespace = {}
+        exec("from graphtoric import *", namespace)
+        assert set(graphtoric.__all__) <= namespace.keys()

@@ -58,7 +58,7 @@ class TestValidation:
 
     def test_isolated_vertex_reported_as_degree_zero(self):
         with pytest.raises(DegreeViolation) as e:
-            validate([(0, 1), (0, 1), (0, 1)], n_vertices=3)
+            TrivalentGraph(3, ((0, 1), (0, 1), (0, 1)))
         assert e.value.vertex == 2
         assert e.value.degree == 0
 

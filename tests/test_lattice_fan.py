@@ -20,7 +20,7 @@ from graphtoric.lattice_fan import (
     map_fan,
     normal_fan,
 )
-from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices
+from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices, facet_defining_rows
 from helpers import (
     edge_route_verdict,
     gauss_rank,
@@ -255,7 +255,8 @@ class TestNormalFan:
 
     def test_cube_fan(self):
         h = unit_cube_h(3)
-        fan = normal_fan(h, enumerate_vertices(h))
+        v = enumerate_vertices(h)
+        fan = normal_fan(h, v, facet_defining_rows(h, v))
         expected = set()
         for i in range(3):
             e = tuple(int(i == k) for k in range(3))
@@ -294,7 +295,8 @@ class TestMapFan:
 
     def test_cube_under_map(self):
         h = unit_cube_h(3)
-        fan = map_fan(normal_fan(h, enumerate_vertices(h)), A_MAP)
+        v = enumerate_vertices(h)
+        fan = map_fan(normal_fan(h, v, facet_defining_rows(h, v)), A_MAP)
         assert set(fan.rays) == {
             (0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, 1, 0), (-1, -1, 0),
         }
@@ -324,7 +326,7 @@ class TestDelzantCheck:
         )
         v = enumerate_vertices(h)
         Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert delzant_check(h, v, Z3).overall == SMOOTH
+        assert delzant_check(h, v, Z3, facet_defining_rows(h, v)).overall == SMOOTH
 
     @pytest.mark.parametrize("name", ["theta3", "theta4", "k4", "dumbbell"])
     def test_singular_cases(self, bundles, name):
@@ -347,7 +349,7 @@ class TestDelzantCheck:
         )
         v = enumerate_vertices(h)
         Z2 = Lattice.from_generators([(1, 0), (0, 1)])
-        verdict = delzant_check(h, v, Z2)
+        verdict = delzant_check(h, v, Z2, facet_defining_rows(h, v))
         assert verdict.simple
         assert verdict.overall == SINGULAR
         assert verdict.smooth_witness == (F(1), F(0))
@@ -392,7 +394,7 @@ class TestDelzantCheck:
             cases.append((h, v, Lattice(n, 1 if unit else rng.randint(1, 3), rows)))
         seen, seen_high = Counter(), Counter()
         for h, v, lattice in cases:
-            verdict = delzant_check(h, v, lattice)
+            verdict = delzant_check(h, v, lattice, facet_defining_rows(h, v))
             simple, smooth, witness, witness_det, overall = edge_route_verdict(h, v, lattice)
             assert (verdict.simple, verdict.smooth, verdict.smooth_witness, verdict.overall) == (
                 simple, smooth, witness, overall

@@ -183,7 +183,7 @@ class TestFacetsAndSimplicity:
         h = build_hrep(theta2)
         v = enumerate_vertices(h)
         assert facet_defining_rows(h, v) == tuple(range(4))
-        assert is_simple(h, v).simple
+        assert is_simple(h, v, facet_defining_rows(h, v)).simple
 
     def test_redundant_row_excluded(self):
         h = HPolytope.from_inequalities(
@@ -204,14 +204,15 @@ class TestFacetsAndSimplicity:
         )
         h = HPolytope(2, square.rows + (extra,))
         v = enumerate_vertices(h)
-        assert facet_defining_rows(h, v) == (0, 1, 2, 3)
-        assert is_simple(h, v).simple
-        assert delzant_check(h, v, Lattice(2, 1, ((1, 0), (0, 1)))).overall == SMOOTH
+        facets = facet_defining_rows(h, v)
+        assert facets == (0, 1, 2, 3)
+        assert is_simple(h, v, facets).simple
+        assert delzant_check(h, v, Lattice(2, 1, ((1, 0), (0, 1))), facets).overall == SMOOTH
 
     def test_origin_witness(self, theta3):
         h = build_hrep(theta3)
         v = enumerate_vertices(h)
-        verdict = is_simple(h, v)
+        verdict = is_simple(h, v, facet_defining_rows(h, v))
         assert not verdict.simple
         assert verdict.witness == (F(0),) * 6
         assert verdict.witness_facets == 12
@@ -219,10 +220,17 @@ class TestFacetsAndSimplicity:
     def test_dumbbell_witness(self, dumbbell):
         h = build_hrep(dumbbell)
         v = enumerate_vertices(h)
-        verdict = is_simple(h, v)
+        verdict = is_simple(h, v, facet_defining_rows(h, v))
         assert not verdict.simple
         assert verdict.witness == (F(1, 2), F(1), F(1, 2))
         assert verdict.witness_facets == 4
+
+    def test_vertex_set_of_another_system_is_refused(self):
+        # theta-2's vertices are tight on its fourth row, which the cut
+        # system does not have
+        h = build_hrep(multi_theta(2))
+        with pytest.raises(ValueError):
+            facet_defining_rows(HPolytope(3, h.rows[:-1]), enumerate_vertices(h))
 
     def test_requires_full_dimension(self):
         h = HPolytope.from_inequalities(
@@ -285,7 +293,7 @@ class TestCubeVertexLabellings:
 
     def test_matches_exhaustive_oracle(self, theta2, theta3, dumbbell, k4):
         for graph in (theta2, theta3, dumbbell, k4):
-            got = {lab.labels for lab in cube_vertex_labellings(graph)}
+            got = set(cube_vertex_labellings(graph))
             assert got == set(exhaustive_labellings(graph))
 
     def test_matches_oracle_on_random_graphs(self):
@@ -293,7 +301,7 @@ class TestCubeVertexLabellings:
         graphs = [random_trivalent_graph(rng, rng.choice((2, 4))) for _ in range(10)]
         graphs += [random_trivalent_graph(rng, 6) for _ in range(10)]
         for graph in graphs:
-            got = [lab.labels for lab in cube_vertex_labellings(graph)]
+            got = cube_vertex_labellings(graph)
             assert got == exhaustive_labellings(graph)
 
     def test_genus_twelve(self):
@@ -301,7 +309,7 @@ class TestCubeVertexLabellings:
         rng = random.Random(12)
         graphs = [multi_theta(12)] + [random_trivalent_graph(rng, 22) for _ in range(3)]
         for graph in graphs:
-            labs = [lab.labels for lab in cube_vertex_labellings(graph)]
+            labs = cube_vertex_labellings(graph)
             assert len(labs) == 2**12
             assert all(a < b for a, b in zip(labs, labs[1:]))
             for triple in graph.trinion_triples():
@@ -309,16 +317,16 @@ class TestCubeVertexLabellings:
 
     def test_loop_forces_partner_zero(self, dumbbell):
         for lab in cube_vertex_labellings(dumbbell):
-            assert lab.labels[1] == 0  # bridge edge must be 0 at both loops
+            assert lab[1] == 0  # bridge edge must be 0 at both loops
 
     def test_labelling_points_are_polytope_vertices(self, theta3):
         h = build_hrep(theta3)
         verts = set(enumerate_vertices(h).vertices)
         for lab in cube_vertex_labellings(theta3):
-            assert lab.point() in verts
+            assert lab in verts  # tuples of ints hash and compare as Fractions
 
     def test_order_is_lexicographic(self, theta3):
-        labs = [lab.labels for lab in cube_vertex_labellings(theta3)]
+        labs = cube_vertex_labellings(theta3)
         assert labs == sorted(labs)
 
 
