@@ -2,17 +2,20 @@
 
 Everything runs on fractions.Fraction and Python integers, so results are
 bit-for-bit reproducible across platforms; floating point input is
-rejected outright.  Determinants use fraction-free (Bareiss) elimination,
-solve uses rational Gaussian elimination with deterministic pivoting
-(first nonzero entry, smallest row index), and hnf returns a row-style
-Hermite normal form together with its unimodular transform.
+rejected outright.  A rational vector becomes integers in one place,
+scaled, which multiplies it by the lcm of its denominators.  det scales
+each row so and runs fraction-free (Bareiss) elimination.  solve and
+inverse share one rational Gauss-Jordan elimination, on m | b and m | I,
+with deterministic pivoting (first nonzero entry, smallest row index).
+hnf returns a row-style Hermite normal form together with its unimodular
+transform, both read off the reduced rows of m | I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 UNIQUE = "unique"
@@ -93,13 +96,8 @@ def det(m: QMatrix) -> Fraction:
     """Exact determinant: rows scaled to integers, then integer_det."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    scale = 1
-    a: list[list[int]] = []
-    for row in m.rows:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        a.append([int(x * mult) for x in row])
-    return Fraction(integer_det(a), scale)
+    scales, rows = zip(*map(scaled, m.rows))
+    return Fraction(integer_det(list(rows)), prod(scales))
 
 
 def integer_det(a: list[list[int]]) -> int:
@@ -132,58 +130,50 @@ class SolveResult:
     solution: tuple[Fraction, ...] | None = None
 
 
-def solve(m: QMatrix, b: Sequence) -> SolveResult:
-    """Classify m*x = b exactly and return the solution when unique."""
-    rhs = [exact(x) for x in b]
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = [list(row) + [val] for row, val in zip(m.rows, rhs)]
-    nr, nc = m.nrows, m.ncols
+def _gauss_jordan(aug: list[list[Fraction]], width: int) -> list[int]:
+    """Reduce the rows of aug in place over their first ``width`` columns,
+    carrying the columns after them along, and return the pivot columns:
+    pivot i ends as a 1 in row i, alone in its column.  The pivot is the
+    first nonzero entry, smallest row index."""
     pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if aug[i][c]), None)
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pval = aug[r][c]
         aug[r] = [x / pval for x in aug[r]]
-        for i in range(nr):
+        for i in range(len(aug)):
             if i != r and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return SolveResult(INCONSISTENT)
-    if len(pivots) < nc:
+    return pivots
+
+
+def solve(m: QMatrix, b: Sequence) -> SolveResult:
+    """Classify m*x = b exactly and return the solution when unique."""
+    rhs = [exact(x) for x in b]
+    if len(rhs) != m.nrows:
+        raise ValueError("right-hand side length does not match row count")
+    aug = [[*row, val] for row, val in zip(m.rows, rhs)]
+    pivots = _gauss_jordan(aug, m.ncols)
+    if any(row[-1] for row in aug[len(pivots):]):
+        return SolveResult(INCONSISTENT)
+    if len(pivots) < m.ncols:
         return SolveResult(UNDERDETERMINED)
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][nc]
-    return SolveResult(UNIQUE, tuple(x))
+    return SolveResult(UNIQUE, tuple(row[-1] for row in aug[:m.ncols]))
 
 
 def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse by Gauss-Jordan elimination of m | I."""
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.nrows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pval = aug[c][c]
-        aug[c] = [x / pval for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    aug = [[*row, *e] for row, e in zip(m.rows, QMatrix.identity(n).rows)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("matrix is singular")
     return QMatrix([row[n:] for row in aug])
 
 
@@ -193,13 +183,13 @@ def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
     H has the shape of m with its zero rows at the bottom; every pivot is
     positive, entries above a pivot are reduced into [0, pivot), and U is
     unimodular (det +-1).  Pivoting is deterministic: smallest absolute
-    value first, ties broken by row index.
+    value first, ties broken by row index.  The row operations run on the
+    rows of m | I, whose left block ends as H and right block as U.
     """
     if not m.is_integer():
         raise ValueError("hnf requires integer entries")
-    a = [[int(x) for x in row] for row in m.rows]
     nr, nc = m.nrows, m.ncols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    a = [[int(x) for x in row] + [int(i == j) for j in range(nr)] for i, row in enumerate(m.rows)]
     r = 0
     for c in range(nc):
         while True:
@@ -217,25 +207,28 @@ def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
                 q = a[i][c] // a[best][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[best])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[best])]
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            u[r], u[pivot_row] = u[pivot_row], u[r]
+        a[r], a[pivot_row] = a[pivot_row], a[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         p = a[r][c]
         for i in range(r):
             q = a[i][c] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == nr:
             break
-    return QMatrix(a), QMatrix(u)
+    return QMatrix([row[:nc] for row in a]), QMatrix([row[nc:] for row in a])
+
+
+def scaled(v: Sequence) -> tuple[int, list[int]]:
+    """(k, k*v) for a rational vector v, k the lcm of its denominators: the
+    least positive k that makes k*v integer."""
+    fr = [exact(x) for x in v]
+    k = lcm(*(f.denominator for f in fr))
+    return k, [f.numerator * (k // f.denominator) for f in fr]
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -248,9 +241,7 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector spanning the same ray as a rational v."""
-    fr = [exact(x) for x in v]
-    mult = lcm(*(f.denominator for f in fr))
-    return primitive([f.numerator * (mult // f.denominator) for f in fr])
+    return primitive(scaled(v)[1])
 
 
 class EchelonBasis:

@@ -26,7 +26,7 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction
+from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction, scaled
 from .graph_core import TrivalentGraph
 from .polytope import HPolytope, VPolytope, _bits, is_simple
 
@@ -104,9 +104,8 @@ def build_lattice(graph: TrivalentGraph) -> Lattice:
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:
     """Whether rational x is an integer combination of the basis rows."""
-    x = [exact(c) for c in x]
-    k = lcm(*(c.denominator for c in x))
-    return _first_non_member([[c.numerator * (k // c.denominator) for c in x]], k, lattice) is None
+    k, y = scaled(x)
+    return _first_non_member([y], k, lattice) is None
 
 
 def _coordinates(

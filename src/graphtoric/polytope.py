@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, exact, primitive, primitive_direction, solve
+from .exactmath import QMatrix, UNIQUE, primitive, primitive_direction, scaled, solve
 from .graph_core import TrivalentGraph
 
 
@@ -73,9 +73,7 @@ class HPolytope:
 
 
 def _normalize_row(a: Sequence, b) -> Row | None:
-    row = [exact(x) for x in (*a, b)]
-    mult = lcm(*(x.denominator for x in row))
-    *ints, rb = [x.numerator * (mult // x.denominator) for x in row]
+    *ints, rb = scaled((*a, b))[1]
     g = gcd(*ints, rb)
     if g == 0:
         return None  # 0 <= 0
@@ -109,13 +107,11 @@ def build_hrep(graph: TrivalentGraph) -> HPolytope:
 
 
 def contains(h: HPolytope, x: Sequence) -> bool:
-    """Exact membership test."""
-    point = [exact(v) for v in x]
-    if len(point) != h.dim:
-        raise ValueError(f"point has length {len(point)}, expected {h.dim}")
-    return all(
-        sum(c * v for c, v in zip(row.a, point)) <= row.b for row in h.rows
-    )
+    """Exact membership test, in integers: k*x with k > 0 against k*b."""
+    k, y = scaled(x)
+    if len(y) != h.dim:
+        raise ValueError(f"point has length {len(y)}, expected {h.dim}")
+    return all(_idot(row.a, y) <= row.b * k for row in h.rows)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,13 @@ class TestQMatrix:
         lambda: AnalysisReport.from_json(
             analyze_graph(multi_theta(2))[0].to_json().replace('"1/2"', "0.5")
         ),
+        lambda: primitive_direction((0.5, 1)),
+        lambda: solve(QMatrix([[1]]), (0.5,)),
     ],
-    ids=["is_lattice_point", "from_inequalities", "contains", "from_generators", "from_json"],
+    ids=[
+        "is_lattice_point", "from_inequalities", "contains", "from_generators", "from_json",
+        "primitive_direction", "solve",
+    ],
 )
 def test_entry_points_reject_floats(call):
     with pytest.raises(TypeError, match="floating point"):
@@ -206,6 +211,17 @@ def test_solve_matches_gauss_oracle(rows, data):
     assert ours.status == status
     if status == UNIQUE:
         assert ours.solution == x
+
+
+@settings(deadline=None)
+@given(square_matrices(max_n=5))
+def test_inverse_exactly_when_nonsingular(rows):
+    m = mat(rows)
+    if det(m) == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert m @ inverse(m) == QMatrix.identity(len(rows))
 
 
 @settings(deadline=None)
