@@ -272,7 +272,7 @@ def _load_graph(args, parser: _Parser) -> TrivalentGraph:
         if args.theta < 2:
             parser.error("--theta requires genus >= 2")
         return multi_theta(args.theta)
-    with open(args.graph, encoding="utf-8") as fh:
+    with open(args.graph, encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 

@@ -62,10 +62,8 @@ class TrivalentGraph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    # the spanning-tree paths found by validation, reused by cycle_basis,
-    # and the order that walk first reached the vertices in
-    _paths: list[int] = field(init=False, repr=False, compare=False)
-    _walk: list[int] = field(init=False, repr=False, compare=False)
+    # each vertex's triple, in the order validation's walk first reached it
+    _triples: tuple[TrinionTriple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -85,11 +83,10 @@ class TrivalentGraph:
         for vertex in range(self.n_vertices):
             if degree.get(vertex, 0) != 3:
                 raise DegreeViolation(vertex, degree.get(vertex, 0))
-        paths, walk = _tree_paths(self.n_vertices, self.edges)
+        paths, triples = _tree_paths(self.n_vertices, self.edges)
         if None in paths:
             raise Disconnected()
-        object.__setattr__(self, "_paths", paths)
-        object.__setattr__(self, "_walk", walk)
+        object.__setattr__(self, "_triples", triples)
         if self.genus < 2:
             raise GenusTooSmall(self.genus)
 
@@ -111,22 +108,16 @@ class TrivalentGraph:
         and a loop is a cycle on its own.  The genus many masks span, over
         GF(2), the edge sets meeting each vertex evenly (loops twice).
         """
-        path = self._paths
+        path = _tree_paths(self.n_vertices, self.edges)[0]
         masks = [(1 << i) ^ path[u] ^ path[v] for i, (u, v) in enumerate(self.edges)]
         return [mask for mask in masks if mask]
 
-    def trinion_triples(self) -> list[TrinionTriple]:
+    def trinion_triples(self) -> tuple[TrinionTriple, ...]:
         """One sorted triple of incident edge indices per vertex, in walk
         order: vertex 0, then each vertex as the spanning-tree walk first
-        reaches it, so each is adjacent to an earlier one."""
-        incident: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for index, (u, v) in enumerate(self.edges):
-            incident[u].append(index)
-            incident[v].append(index)
-        return [
-            TrinionTriple(vertex, tuple(sorted(incident[vertex])))  # type: ignore[arg-type]
-            for vertex in self._walk
-        ]
+        reaches it, so each is adjacent to an earlier one.  Validation
+        builds the tuple once."""
+        return self._triples
 
 
 def validate(edges: Iterable[tuple[int, int]]) -> TrivalentGraph:
@@ -195,10 +186,12 @@ def serialize_graph(graph: TrivalentGraph) -> str:
     return "".join(f"{u} {v}\n" for u, v in graph.edges)
 
 
-def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[list[int | None], list[int]]:
+def _tree_paths(
+    n: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[list[int | None], tuple[TrinionTriple, ...]]:
     """Per vertex, the bitmask of the spanning-tree edges on its path from
     vertex 0, or None when the walk from vertex 0 does not reach it; and
-    the reached vertices in the order the walk first reaches them."""
+    each reached vertex's trinion triple, in the order the walk reaches it."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for index, (u, v) in enumerate(edges):
         adjacency[u].append((v, index))
@@ -214,4 +207,9 @@ def _tree_paths(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[list[int | 
                 path[y] = path[x] ^ (1 << index)
                 walk.append(y)
                 stack.append(y)
-    return path, walk
+    # adjacency[x] holds x's three edges in index order, a loop's twice
+    triples = []
+    for x in walk:
+        (_, a), (_, b), (_, c) = adjacency[x]
+        triples.append(TrinionTriple(x, (a, b, c)))
+    return path, tuple(triples)

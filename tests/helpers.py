@@ -4,9 +4,10 @@ The oracles here deliberately re-derive results with different
 algorithms than the package (cofactor determinants, abs-pivot Gaussian
 elimination, exhaustive labelling search, GF(2) bit elimination, the
 Fraction, per-ray and normalising routes that vertex enumeration, the
-lattice and the H-representation used before they kept to integers, and
-the edge route the smoothness test used before it read the normal fan)
-so that agreement is meaningful.
+lattice and the H-representation used before they kept to integers, the
+edge route the smoothness test used before it read the normal fan, and
+the incidence rebuild the trinion triples came from before validation
+kept them) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from fractions import Fraction
 
 from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direction
-from graphtoric.graph_core import GraphError, TrivalentGraph
+from graphtoric.graph_core import GraphError, TrinionTriple, TrivalentGraph
 from graphtoric.lattice_fan import SINGULAR, SMOOTH
 from graphtoric.polytope import (
     HPolytope,
@@ -48,6 +49,20 @@ def random_trivalent_graph(rng: random.Random, n_vertices: int) -> TrivalentGrap
             return TrivalentGraph(n_vertices, edges)
         except GraphError:
             continue
+
+
+def incidence_triples(graph: TrivalentGraph) -> tuple[TrinionTriple, ...]:
+    """The trinion triples rebuilt from the edge list: each vertex's sorted
+    incident edge indices (a loop's twice), in the vertex order that
+    ``graph.trinion_triples()`` reports."""
+    incident: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for index, (u, v) in enumerate(graph.edges):
+        incident[u].append(index)
+        incident[v].append(index)
+    return tuple(
+        TrinionTriple(t.vertex, tuple(sorted(incident[t.vertex])))
+        for t in graph.trinion_triples()
+    )
 
 
 def random_hsystem(rng: random.Random, n: int, extra_rows: int = 3) -> HPolytope:

@@ -189,6 +189,20 @@ class TestAnalyze:
         assert report.loop_free is False
         assert report.overall == "SINGULAR"
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # editors on Windows save UTF-8 text with a leading BOM
+        plain = tmp_path / "plain.graph"
+        plain.write_text("0 1\n0 1\n0 1\n")
+        bom = tmp_path / "bom.graph"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, bom):
+            for argv in (["analyze", str(path), "--json"], ["oracle", str(path)]):
+                assert main(argv) == 0
+                out = capsys.readouterr().out
+                outputs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out))
+        assert outputs[:2] == outputs[2:]
+
     def test_exports(self, tmp_path, capsys):
         h = tmp_path / "out.ine"
         v = tmp_path / "out.ext"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -15,7 +16,7 @@ from graphtoric.graph_core import (
     _tree_paths,
     validate,
 )
-from helpers import gf2_rank, random_trivalent_graph
+from helpers import gf2_rank, incidence_triples, random_trivalent_graph
 
 
 class TestMultiTheta:
@@ -118,7 +119,7 @@ class TestCycleBasis:
 
     def test_kept_tree_paths_stay_out_of_equality_and_repr(self, graphs):
         for graph in graphs:
-            assert (graph._paths, graph._walk) == _tree_paths(graph.n_vertices, graph.edges)
+            assert graph._triples == _tree_paths(graph.n_vertices, graph.edges)[1]
             twin = TrivalentGraph(graph.n_vertices, graph.edges)
             assert twin == graph and hash(twin) == hash(graph)
             assert repr(graph) == (
@@ -153,6 +154,25 @@ class TestTrinionTriples:
             for i, x in enumerate(order[1:], 1):
                 earlier = set(order[:i])
                 assert any(u == x and v in earlier or v == x and u in earlier for u, v in graph.edges)
+
+    def test_kept_triples_match_the_incidence_rebuild(self, theta2, theta3, theta4, dumbbell, k4):
+        rng = random.Random(29)
+        randoms = [random_trivalent_graph(rng, n) for n in (2, 4, 6, 8, 10, 12, 22) for _ in range(5)]
+        # the random graphs must reach the loop and multi-edge cases
+        assert any(not g.is_loop_free() for g in randoms)
+        assert any(len(set(g.edges)) < g.n_edges for g in randoms)
+        graphs = [theta2, theta3, theta4, dumbbell, k4, *map(multi_theta, range(2, 10)), *randoms]
+        permuted = [
+            dataclasses.replace(graph, edges=tuple(rng.sample(graph.edges, graph.n_edges)))
+            for graph in graphs
+        ]
+        for graph in graphs + permuted:
+            assert graph.trinion_triples() == incidence_triples(graph), graph.edges
+
+    def test_triples_are_built_once(self, theta4):
+        triples = theta4.trinion_triples()
+        assert isinstance(triples, tuple)
+        assert theta4.trinion_triples() is triples
 
     def test_every_edge_appears_twice_overall(self, theta3):
         counts = [0] * theta3.n_edges
