@@ -39,7 +39,6 @@ from .polytope import (
     HPolytope,
     NotFullDimensional,
     SimplicityVerdict,
-    UnboundedPolytope,
     VPolytope,
     brute_force_vertices,
     build_hrep,
@@ -71,7 +70,6 @@ __all__ = [
     "SimplicityVerdict",
     "TrinionTriple",
     "TrivalentGraph",
-    "UnboundedPolytope",
     "VPolytope",
     "analyze_graph",
     "brute_force_vertices",

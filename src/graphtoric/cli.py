@@ -3,7 +3,7 @@
 Subcommands:
   theta    write a multi-theta graph file
   analyze  run the full pipeline on a graph and print a report
-  oracle   cross-check the two vertex enumeration algorithms (genus <= 3)
+  oracle   cross-check the closed-form vertices by brute force (genus <= 3)
   batch    analyze a range of multi-theta graphs as a table
 
 Exit codes: 0 success, 1 usage, 2 invalid input, 3 internal
@@ -193,7 +193,7 @@ def analyze_graph(
     v = facet_rows = verdict = None
     facts = {}
     if not skip_vertex_enum:
-        v = enumerate_vertices(h)
+        v = enumerate_vertices(graph, h)
         # lcm of s/gcd(s, c_i) over the coordinates is s/gcd(s, c_1, ..., c_n)
         denoms = [v.scale // gcd(v.scale, *p) for p in v.points]
         if denoms.count(1) != cube_vertex_count:
@@ -311,7 +311,7 @@ def _cmd_oracle(args, parser) -> int:
             f"oracle limited to ambient dimension {ORACLE_DIM_LIMIT}, got {n}"
         )
     h = build_hrep(graph)
-    fast = enumerate_vertices(h)
+    fast = enumerate_vertices(graph, h)
     slow = brute_force_vertices(h)
     if fast != slow:
         raise ConsistencyError(

@@ -199,7 +199,7 @@ def _tree_paths(
     path: list[int | None] = [None] * n
     path[0] = 0
     walk = [0]
-    stack = [0]  # as the DD row order, breadth-first visits more pairs at g >= 6
+    stack = [0]  # depth-first: the walk order is the row order build_hrep writes
     while stack:
         x = stack.pop()
         for y, index in adjacency[x]:

@@ -13,9 +13,9 @@ A row is just its inequality a.x <= b, with integer data, gcd-reduced.
 Both builders merge equal rows and nothing downstream merges them again;
 a row repeated in a hand-built system counts as one facet (see
 facet_defining_rows).  A repeated index in a trinion triple (a loop)
-folds into a coefficient of 2.  Vertex enumeration is exact: the
-reference algorithm is the double description method on the homogenising
-cone, cross-checked by a brute-force tight-subset oracle.
+folds into a coefficient of 2.  A graph polytope's vertices come in
+closed form from the graph's GF(2) cycle space (enumerate_vertices),
+cross-checked by a brute-force tight-subset oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from math import gcd, lcm
-from operator import and_
+from operator import and_, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactmath import QMatrix, UNIQUE, primitive, primitive_direction, scaled, solve
@@ -34,10 +34,6 @@ from .graph_core import TrivalentGraph
 
 class NotFullDimensional(Exception):
     """Operation requires a polytope of full affine dimension."""
-
-
-class UnboundedPolytope(Exception):
-    """Vertex enumeration hit an unbounded inequality system."""
 
 
 class Row(NamedTuple):
@@ -50,7 +46,7 @@ class Row(NamedTuple):
 @dataclass(frozen=True)
 class HPolytope:
     """An inequality system A.x <= b with normalized integer rows of length
-    ``dim`` (else ValueError), in the order vertex enumeration inserts them."""
+    ``dim`` (else ValueError); row k is bit k of a vertex's ``tight`` mask."""
 
     dim: int
     rows: tuple[Row, ...]
@@ -156,21 +152,12 @@ class VPolytope:
         return cache(lambda c: Fraction(c, scale))
 
 
-def _homogeneous_rows(h: HPolytope) -> list[tuple[int, ...]]:
-    """The rows of the homogenising cone: t >= 0, then (b, -a) per H-row in
-    ``h.rows`` order, not merged again (the builders merge equal H-rows),
-    so homogeneous row k+1 is H-row k."""
-    return [(1,) + (0,) * h.dim] + [(row.b, *(-x for x in row.a)) for row in h.rows]
-
-
 def _vpolytope_from_rays(
-    rows: Sequence[tuple[int, ...]], rays: Sequence[tuple[int, ...]], zmasks: Sequence[int]
+    h: HPolytope, rays: Sequence[tuple[int, ...]], tight: Sequence[int]
 ) -> VPolytope:
-    """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0.
+    """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0,
+    ``tight[r]`` being the mask of the rows of ``h`` tight at ray r.
 
-    ``zmasks[r]`` is the set of homogeneous rows that vanish on ray r: never
-    row 0 (t >= 0), and row k is H-row k-1, so shifted down one bit it is
-    the vertex's ``tight`` mask.
     The scale is the lcm L of all t, which is the lcm of all vertex
     denominators because each ray is primitive, and vertex x is kept as
     the integer point L*x.  The affine dimension of a polytope is n minus
@@ -181,10 +168,9 @@ def _vpolytope_from_rays(
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     order = sorted(range(len(rays)), key=points.__getitem__)
-    tight = tuple(zmasks[r] >> 1 for r in order)
-    equalities = [rows[k] for k in _bits(reduce(and_, zmasks))]
-    dim = len(rows[0]) - 1 - _integer_rank(equalities)
-    return VPolytope(dim, scale, tuple(points[r] for r in order), tight)
+    equalities = [h.rows[k].a for k in _bits(reduce(and_, tight))]
+    dim = h.dim - _integer_rank(equalities)
+    return VPolytope(dim, scale, tuple(points[r] for r in order), tuple(tight[r] for r in order))
 
 
 def _bits(mask: int) -> list[int]:
@@ -220,102 +206,100 @@ def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(basis)
 
 
-def _initial_cone(rows: Sequence[Sequence[int]], d: int) -> tuple[list[int], list[tuple]]:
-    """The first d independent rows B, in order, and the primitive rays of
-    their cone: ray k is column k of inv(B), tight on every row but the k-th.
-
-    Each row enters with a unit vector appended, so a basis row reads U | T
-    with T*B = U.  Inserted again from the last pivot up, U loses all but its
-    diagonal D (integer Gauss-Jordan), leaving T = D*inv(B)."""
-    basis: list[tuple[int, Sequence[int]]] = []
-    initial: list[int] = []
-    for j, row in enumerate(rows):
-        if _echelon_insert(basis, [*row, *(int(k == len(initial)) for k in range(d))], d):
-            initial.append(j)
-            if len(initial) == d:
-                break
-    if len(initial) < d:
-        raise UnboundedPolytope(
-            "inequality system is invariant along a direction; it has no vertices"
-        )
-    diagonal: list[tuple[int, Sequence[int]]] = []
-    for _, row in reversed(basis):
-        _echelon_insert(diagonal, row, d)
-    scale = lcm(*(row[piv] for piv, row in diagonal))
-    scaled_inverse = [[x * (scale // row[piv]) for x in row[d:]] for piv, row in diagonal]
-    return initial, [primitive(col) for col in zip(*scaled_inverse)]
-
-
 # ---------------------------------------------------------------------------
-# Double description vertex enumeration
+# Vertices in closed form
 # ---------------------------------------------------------------------------
 
-def enumerate_vertices(h: HPolytope) -> VPolytope:
-    """Exact vertex enumeration by the double description method.
-
-    The system is homogenised to the cone {(t, x) : t >= 0, b*t - a.x >= 0}
-    in dimension n+1 and the extreme rays are grown one inequality at a
-    time in ``h.rows`` order after t >= 0 (the order sets the size of the
-    intermediate cones, not the answer), from the simplicial cone of the
-    first n+1 independent rows (fraction-free elimination, then integer
-    Gauss-Jordan; see _initial_cone).  Rays are primitive integer
-    vectors, so all arithmetic stays in Z.
-
-    ``rays`` and ``zmasks`` hold the current cone only: a ray's id is its
-    list position, and its zero set holds the processed rows that vanish
-    on it.  Inserting row j takes the row's dot product with each ray,
-    reading only the row's nonzero entries, and sorts the ray into
-    positive, negative or tight.  When there are both positive and
-    negative rays, the row index ``tight_rays[k]`` (the ids whose zero set
-    holds row k) is built from the zero sets by one transposition, and
-    each adjacent (positive, negative) pair makes a new ray.  A new ray
-    is a positive combination of two rays feasible on every processed
-    row, so there it vanishes exactly on their common zeros.  Then the
-    list is rebuilt: the positive and tight rays in their order, the tight
-    ones gaining bit j, then the new rays in pair order.  Initial ray k is
-    tight on every initial row but the k-th.  Rays with t > 0 are the
-    polytope vertices; a surviving ray with t = 0 means the polytope is
-    unbounded, which is reported as an error.
+def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
+    """The vertices of the graph polytope ``h = build_hrep(graph)`` (a
+    ValueError if the dimensions differ), in closed form: x is a vertex iff
+    S = {e : x_e = 1/2} is in the graph's GF(2) cycle space and the other
+    coordinates are a labelling z that _parity_solutions lists for S (the
+    README proves it).  The rays are (1, z) for S empty, else (2, 2z + S).
+    The tight rows are read from ``h.rows``: per edge e and value 2x_e, the
+    mask of the rays at it (one transposition of the S and z masks); per
+    row, the OR over the value tuples on its support that make it tight of
+    the AND of those masks; and one transposition back to each vertex.
     """
-    rows = _homogeneous_rows(h)
-    d = h.dim + 1
-    initial, rays = _initial_cone(rows, d)
-    processed = sum(1 << j for j in initial)
-    zmasks = [processed & ~(1 << j) for j in initial]
+    n = h.dim
+    if n != graph.n_edges:
+        raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
+    found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in _parity_solutions(graph, s)]
+    rays = [
+        (2, *((s >> e & 1) + 2 * (z >> e & 1) for e in range(n))) if s
+        else (1, *(z >> e & 1 for e in range(n)))
+        for s, z in found
+    ]
+    halves, ones = zip(*found)
+    every = (1 << len(rays)) - 1
+    at = [(every & ~(a | b), a, b) for a, b in zip(_transpose(halves, n), _transpose(ones, n))]
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    row_rays = []
+    for row in h.rows:
+        support = tuple(e for e, c in enumerate(row.a) if c)
+        if support not in groups:
+            # the rays by their values on the support, empty groups dropped
+            by_values = {(): every}
+            for e in support:
+                by_values = {
+                    w + (v,): m for w, rays_w in by_values.items()
+                    for v in range(3) if (m := rays_w & at[e][v])
+                }
+            groups[support] = by_values
+        coeffs = [row.a[e] for e in support]
+        row_rays.append(reduce(or_, (
+            m for w, m in groups[support].items() if sum(map(mul, coeffs, w)) == 2 * row.b
+        ), 0))
+    return _vpolytope_from_rays(h, rays, _transpose(row_rays, len(rays)))
 
-    for j, row in enumerate(rows):
-        bit = 1 << j
-        if processed & bit:
-            continue
-        nonzero = [(i, x) for i, x in enumerate(row) if x]
-        dots, pos, neg, kept_rays, kept_zmasks = [], [], [], [], []
-        for r, ray in enumerate(rays):
-            dot = sum(ray[i] * x for i, x in nonzero)
-            dots.append(dot)
-            if dot < 0:
-                neg.append(r)
-                continue
-            if dot:
-                pos.append(r)
-                kept_zmasks.append(zmasks[r])
-            else:
-                kept_zmasks.append(zmasks[r] | bit)
-            kept_rays.append(ray)
-        if pos and neg:
-            tight_rays = _transpose(zmasks, processed.bit_length())
-            for p, q in _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays):
-                alpha, beta = dots[p], dots[q]
-                vec = [alpha * y - beta * x for x, y in zip(rays[p], rays[q])]
-                g = gcd(*vec)
-                kept_rays.append(tuple(x // g for x in vec))
-                kept_zmasks.append(zmasks[p] & zmasks[q] | bit)
-        rays, zmasks = kept_rays, kept_zmasks
-        processed |= bit
 
-    for ray in rays:
-        if ray[0] == 0:
-            raise UnboundedPolytope(f"recession direction {ray[1:]} found")
-    return _vpolytope_from_rays(rows, rays, zmasks)
+def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
+    """The 0/1 labellings z of the edges off the cycle-space element s that
+    make x = z + s/2 a vertex, as edge bitmasks.  In G_s, the graph with
+    each cycle of s contracted to its lowest vertex and s deleted, z has
+    odd degree at the contracted cycles and even degree elsewhere (a loop
+    counts twice).  G_s is connected, so such z exist iff s has an even
+    number of cycles: one T-join, the XOR of the tree paths from vertex 0
+    to each cycle, plus the span of the tree's fundamental cycles.
+    """
+    node = list(range(graph.n_vertices))
+
+    def find(v: int) -> int:
+        while node[v] != v:
+            v = node[v]
+        return v
+
+    ends = [graph.edges[i] for i in _bits(s)]
+    for u, v in ends:
+        low, high = sorted((find(u), find(v)))
+        node[high] = low
+    cycles = {find(u) for u, _ in ends}
+    if len(cycles) % 2:
+        return []
+    kept = [(i, find(u), find(v)) for i, (u, v) in enumerate(graph.edges) if not s >> i & 1]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in node]
+    for i, a, b in kept:
+        adjacency[a].append((b, i))
+        adjacency[b].append((a, i))
+    path = {0: 0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b, i in adjacency[a]:
+            if b not in path:
+                path[b] = path[a] ^ 1 << i
+                stack.append(b)
+    t_join = reduce(xor, (path[c] for c in cycles), 0)
+    # a tree edge closes no cycle: its mask cancels to 0
+    return _span(t_join, [m for i, a, b in kept if (m := 1 << i ^ path[a] ^ path[b])])
+
+
+def _span(base: int, generators: Iterable[int]) -> list[int]:
+    """base XOR each GF(2) combination of the generators, as bitmasks."""
+    span = [base]
+    for mask in generators:
+        span += [m ^ mask for m in span]
+    return span
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -333,58 +317,6 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     return [int(s[width - 1 - k :: width], 2) for k in range(width)]
 
 
-def _adjacent_pairs(pos, neg, zmasks, processed, d, tight_rays):
-    """Yield (p, q) whose rays span a 2-face of the current cone.
-
-    Combinatorial adjacency test for pointed cones (Fukuda & Prodon,
-    1996): the common zero set z of p and q must not lie in the zero set
-    of any third ray of the cone, whose ids are the positions of
-    ``zmasks``.  The rays tight on all of z are the AND of
-    ``tight_rays[k]`` over k in z, and the pair is adjacent iff that AND
-    is exactly {p, q}.  The AND is taken one 8-row block of z at a time:
-    the AND over each (block offset, bits) slice met is computed once per
-    call and kept in ``table`` (the Four-Russians method).  Pairs with
-    fewer than d-2 common tight rows cannot be adjacent and are skipped
-    outright, and so is a candidate whose z lies in the zero set of the
-    third ray that blocked p's last rejected partner, or q's.
-    """
-    size = (processed.bit_length() + 7) // 8
-    every = (1 << len(zmasks)) - 1
-    table: dict[int, int] = {}
-    q_blocker: dict[int, int] = {}
-    for p in pos:
-        zp = zmasks[p]
-        blocker = None
-        for q in neg:
-            z = zp & zmasks[q]
-            if z.bit_count() < d - 2:
-                continue
-            if blocker is not None and blocker != q and not z & ~zmasks[blocker]:
-                continue
-            b = q_blocker.get(q)
-            if b is not None and b != p and not z & ~zmasks[b]:
-                continue
-            pair = 1 << p | 1 << q
-            common = every
-            for offset, bits in enumerate(z.to_bytes(size, "little")):
-                if bits:
-                    key = offset << 8 | bits
-                    block = table.get(key)
-                    if block is None:
-                        block = every
-                        for k in _bits(bits << 8 * offset):
-                            block &= tight_rays[k]
-                        table[key] = block
-                    common &= block
-                    if common == pair:
-                        break
-            if common == pair:
-                yield p, q
-            else:
-                third = common & ~pair
-                blocker = q_blocker[q] = (third & -third).bit_length() - 1
-
-
 def brute_force_vertices(h: HPolytope) -> VPolytope:
     """Independent enumeration oracle: solve every n-subset of tight rows.
 
@@ -392,17 +324,19 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
     satisfies all rows.  Exponential in the row count; intended for
     dimensions up to about 6.  Each solution becomes the primitive
     homogeneous ray (t, t*x) and goes through the same builder as the
-    double description rays.
+    closed form's rays.
     """
-    rows = _homogeneous_rows(h)
     found = set()
     for subset in itertools.combinations(h.rows, h.dim):
         result = solve(QMatrix([row.a for row in subset]), [row.b for row in subset])
         if result.status == UNIQUE and contains(h, result.solution):
             found.add(primitive_direction((1,) + result.solution))
     rays = list(found)
-    zmasks = [sum(1 << k for k, row in enumerate(rows) if not _idot(ray, row)) for ray in rays]
-    return _vpolytope_from_rays(rows, rays, zmasks)
+    tight = [
+        sum(1 << k for k, row in enumerate(h.rows) if _idot(row.a, ray[1:]) == row.b * ray[0])
+        for ray in rays
+    ]
+    return _vpolytope_from_rays(h, rays, tight)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +405,8 @@ def cube_vertex_labellings(graph: TrivalentGraph) -> list[tuple[int, ...]]:
     labelling read as a 0/1 point is a vertex of the polytope lying on
     the unit cube.
     """
-    span = [0]
-    for cycle in graph.cycle_basis():
-        span += [mask ^ cycle for mask in span]
     m = graph.n_edges
+    span = _span(0, graph.cycle_basis())
     return sorted(tuple((mask >> i) & 1 for i in range(m)) for mask in span)
 
 

@@ -1,9 +1,10 @@
 """Shared test utilities: random generators and independent oracles.
 
 The oracles here deliberately re-derive results with different
-algorithms than the package (cofactor determinants, abs-pivot Gaussian
-elimination, exhaustive labelling search, GF(2) bit elimination, the
-Fraction, per-ray and normalising routes that vertex enumeration, the
+algorithms than the package (a plain double description, which vertex
+enumeration used before the closed form, cofactor determinants, abs-pivot
+Gaussian elimination, exhaustive labelling search, GF(2) bit elimination,
+the Fraction, per-ray and normalising routes that vertex enumeration, the
 lattice and the H-representation used before they kept to integers, the
 edge route the smoothness test used before it read the normal fan, and
 the incidence rebuild the trinion triples came from before validation
@@ -19,17 +20,21 @@ import math
 import random
 from fractions import Fraction
 
-from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive_direction
+from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive, primitive_direction
 from graphtoric.graph_core import GraphError, TrinionTriple, TrivalentGraph
 from graphtoric.lattice_fan import SINGULAR, SMOOTH
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
-    UnboundedPolytope,
     VPolytope,
+    _vpolytope_from_rays,
     contains,
     facet_defining_rows,
 )
+
+
+class UnboundedPolytope(Exception):
+    """The double description met an unbounded inequality system."""
 
 
 def random_trivalent_graph(rng: random.Random, n_vertices: int) -> TrivalentGraph:
@@ -203,6 +208,51 @@ def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
                 facets.append(i)
                 break
     return tuple(facets)
+
+
+def homogeneous_rows(h: HPolytope) -> list[tuple[int, ...]]:
+    """The rows of the homogenising cone: t >= 0, then (b, -a) per H-row in
+    ``h.rows`` order, so homogeneous row k+1 is H-row k."""
+    return [(1,) + (0,) * h.dim] + [(row.b, *(-x for x in row.a)) for row in h.rows]
+
+
+def dd_vertices(h: HPolytope) -> VPolytope:
+    """Vertex enumeration of any H-system by a plain double description.
+
+    The cone {(t, x) : t >= 0, b*t - a.x >= 0} grows one homogeneous row
+    at a time, in ``h.rows`` order after t >= 0, from the simplicial cone
+    of the first n+1 independent rows (fraction_initial_cone); ray k of
+    that cone vanishes on every initial row but the k-th.  Each row keeps
+    the rays on its non-negative side, the tight ones gaining the row in
+    their zero sets, and adds a primitive combination of each adjacent
+    (positive, negative) pair (scan_adjacent_pairs), which vanishes where
+    both did.  A surviving ray with t = 0 is a recession direction:
+    UnboundedPolytope.
+    """
+    rows = homogeneous_rows(h)
+    d = h.dim + 1
+    initial, rays = fraction_initial_cone(rows, d)
+    processed = sum(1 << j for j in initial)
+    zmasks = [processed & ~(1 << j) for j in initial]
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        if processed & bit:
+            continue
+        dots = [sum(x * y for x, y in zip(ray, row)) for ray in rays]
+        pos = [r for r, dot in enumerate(dots) if dot > 0]
+        neg = [r for r, dot in enumerate(dots) if dot < 0]
+        new = [
+            (primitive([dots[p] * y - dots[q] * x for x, y in zip(rays[p], rays[q])]),
+             zmasks[p] & zmasks[q] | bit)
+            for p, q in scan_adjacent_pairs(pos, neg, zmasks, processed, d)
+        ]
+        kept = [(ray, z | bit * (dot == 0)) for ray, z, dot in zip(rays, zmasks, dots) if dot >= 0]
+        rays, zmasks = [ray for ray, _ in kept + new], [z for _, z in kept + new]
+        processed |= bit
+    for ray in rays:
+        if ray[0] == 0:
+            raise UnboundedPolytope(f"recession direction {ray[1:]} found")
+    return _vpolytope_from_rays(h, rays, [z >> 1 for z in zmasks])
 
 
 def scan_adjacent_pairs(pos, neg, zmasks, processed, d):

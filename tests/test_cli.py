@@ -279,8 +279,8 @@ class TestOracle:
     def test_mismatch_is_contradiction(self, monkeypatch, capsys):
         real = cli.enumerate_vertices
 
-        def dropping(h):
-            v = real(h)
+        def dropping(graph, h):
+            v = real(graph, h)
             return rational_vpolytope(v.dim, v.vertices[1:], v.incidence[1:])
 
         monkeypatch.setattr(cli, "enumerate_vertices", dropping)
@@ -292,8 +292,8 @@ class TestOracle:
         # the same vertex list with one wrong incidence row or dimension
         real = cli.enumerate_vertices
 
-        def wrong(h):
-            v = real(h)
+        def wrong(graph, h):
+            v = real(graph, h)
             if field == "dim":
                 return rational_vpolytope(v.dim - 1, v.vertices, v.incidence)
             return rational_vpolytope(v.dim, v.vertices, (v.incidence[0][1:],) + v.incidence[1:])
@@ -309,8 +309,8 @@ class TestCubeVertexCheck:
         # integer vertices fall one short of the cycle-space count
         real = cli.enumerate_vertices
 
-        def dropping(h):
-            v = real(h)
+        def dropping(graph, h):
+            v = real(graph, h)
             k = next(i for i, p in enumerate(v.vertices) if all(x.denominator == 1 for x in p))
             return rational_vpolytope(
                 v.dim, v.vertices[:k] + v.vertices[k + 1 :], v.incidence[:k] + v.incidence[k + 1 :]
@@ -359,7 +359,7 @@ class TestBatch:
         # one of them is not a facet, so the 6g-6 check must read false
         graph = TrivalentGraph(4, ((0, 1), (2, 3), (2, 2), (0, 3), (0, 1), (1, 3)))
         h = polytope.build_hrep(graph)
-        v = polytope.enumerate_vertices(h)
+        v = polytope.enumerate_vertices(graph, h)
         origin = v.points.index((0,) * h.dim)
         expected = len(set(v.incidence[origin]) & set(echelon_facet_rows(h, v)))
         assert (len(v.incidence[origin]), expected) == (11, 10)

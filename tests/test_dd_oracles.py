@@ -1,16 +1,16 @@
-"""Vertex enumeration against the Fraction and per-ray oracles.
+"""Vertex enumeration against the double description and Fraction oracles.
 
-enumerate_vertices starts from an initial cone found by fraction-free
-elimination and integer Gauss-Jordan, reads incidence and dimension from
-the integer zero-masks of the double description, facet_defining_rows
-decides facets from incidence bitmasks, and _adjacent_pairs tests
-adjacency with ray bitsets.  The double description keeps a dense ray
-table, a ray's id being its position among the current rays, and builds
-its row index by one transposition of the zero sets (_transpose).  Each
-is checked here against the slower route it replaced (tests/helpers.py)
-on graph polytopes and on random cut cubes with redundant rows: the row
-index against a per-bit loop at every insertion step, and the adjacent
-pairs, in order, against a scan over every third ray.
+enumerate_vertices reads a graph polytope's vertices off the graph's
+cycle space, and facet_defining_rows decides facets from incidence
+bitmasks.  dd_vertices (tests/helpers.py) is a plain double description
+that enumerates any H-system: it grows the homogenising cone from
+fraction_initial_cone and finds adjacent rays by scan_adjacent_pairs.
+The closed form is compared with it field for field (points, scale,
+tight masks, dimension) on the fixture graphs, multi_theta(2..6) and
+seeded random graphs with loops; both are checked against the Fraction
+routes (fraction_vpolytope, echelon_facet_rows), and the double
+description alone on random cut cubes with redundant rows.  Past the
+oracle's reach, multi_theta(7)'s vertex list is certified row by row.
 """
 
 import math
@@ -26,7 +26,6 @@ from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
-    UnboundedPolytope,
     VPolytope,
     brute_force_vertices,
     build_hrep,
@@ -34,14 +33,16 @@ from graphtoric.polytope import (
     facet_defining_rows,
 )
 from helpers import (
+    UnboundedPolytope,
+    dd_vertices,
     echelon_facet_rows,
     fraction_calls,
     fraction_initial_cone,
     fraction_vpolytope,
+    homogeneous_rows,
     per_bit_row_index,
     random_trivalent_graph,
     redundant_hsystem,
-    scan_adjacent_pairs,
     supporting_hsystem,
 )
 
@@ -71,40 +72,18 @@ def _hsystem(seed):
 
 
 def _many_row_system():
-    """300 rows in dimension 4: row indices pass 256, so the adjacency
-    chains read many 8-row blocks."""
+    """300 rows in dimension 4: row indices pass 256, so the zero sets
+    and tight masks are several machine words wide."""
     return supporting_hsystem(random.Random(71), 4, 300, 8)
 
 
-@pytest.fixture
-def adjacency_steps(monkeypatch):
-    """Check every _adjacent_pairs call of DD against the per-ray scan,
-    the row index from the transposition against a per-bit loop over the
-    current zero sets, and that every zero set holds processed rows only;
-    the list collects the pair count of each insertion step."""
-    real = polytope._adjacent_pairs
-    steps = []
-
-    def checked(pos, neg, zmasks, processed, d, tight_rays):
-        assert not any(z & ~processed for z in zmasks)
-        assert tight_rays == per_bit_row_index(zmasks, processed.bit_length())
-        got = list(real(pos, neg, zmasks, processed, d, tight_rays))
-        assert got == list(scan_adjacent_pairs(pos, neg, zmasks, processed, d))
-        steps.append(len(got))
-        return got
-
-    monkeypatch.setattr(polytope, "_adjacent_pairs", checked)
-    return steps
-
-
-def _check_against_oracles(h):
-    rows = polytope._homogeneous_rows(h)
-    assert polytope._initial_cone(rows, h.dim + 1) == fraction_initial_cone(rows, h.dim + 1)
-    v = enumerate_vertices(h)
+def _check_against_oracles(h, v):
+    """v, the vertex set of h, against the Fraction routes, and the double
+    description with the rows reversed against v."""
     assert v == fraction_vpolytope(h, v.vertices)
     assert v.incidence == tuple(tuple(polytope._bits(m)) for m in v.tight)
     # the rows go in in h.rows order; the reversed order gives the same polytope
-    flipped = enumerate_vertices(HPolytope(h.dim, h.rows[::-1]))
+    flipped = dd_vertices(HPolytope(h.dim, h.rows[::-1]))
     assert (flipped.dim, flipped.scale, flipped.points) == (v.dim, v.scale, v.points)
     last = len(h.rows) - 1
     assert flipped.incidence == tuple(tuple(sorted(last - i for i in t)) for t in v.incidence)
@@ -115,45 +94,46 @@ def _check_against_oracles(h):
     else:
         with pytest.raises(NotFullDimensional):
             facet_defining_rows(h, v)
-    return v
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_graph_polytopes_match_oracles(name, adjacency_steps):
-    v = _check_against_oracles(build_hrep(GRAPHS[name]))
-    assert v.dim == GRAPHS[name].n_edges
-    assert adjacency_steps
+def test_graph_polytopes_match_oracles(name):
+    graph = GRAPHS[name]
+    h = build_hrep(graph)
+    v = enumerate_vertices(graph, h)
+    assert v == dd_vertices(h)
+    _check_against_oracles(h, v)
+    assert v.dim == graph.n_edges
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_graphs_of_each_genus_match_double_description(g):
+    # multi_theta(g) and 20 random graphs, 100 in all, most with loops
+    rng = random.Random(3100 + g)
+    graphs = [random_trivalent_graph(rng, 2 * g - 2) for _ in range(20)]
+    assert sum(not graph.is_loop_free() for graph in graphs) >= 5
+    for graph in [multi_theta(g)] + graphs:
+        h = build_hrep(graph)
+        assert enumerate_vertices(graph, h) == dd_vertices(h)
 
 
 @pytest.mark.parametrize("seed", HSYSTEM_SEEDS)
-def test_redundant_cut_cubes_match_oracles(seed, adjacency_steps):
+def test_redundant_cut_cubes_match_oracles(seed):
     h = _hsystem(seed)
-    v = _check_against_oracles(h)
+    v = dd_vertices(h)
+    _check_against_oracles(h, v)
     assert brute_force_vertices(h) == v
 
 
-def test_many_row_system_matches_oracles(adjacency_steps):
+def test_many_row_system_matches_oracles():
     h = _many_row_system()
     assert len(h.rows) == 300
-    v = _check_against_oracles(h)
+    v = dd_vertices(h)
+    _check_against_oracles(h, v)
     assert v.dim == 4
-    assert sum(adjacency_steps) >= 200
     # the rows tight at the vertices, as homogeneous row indices (H-row + 1)
     rows = {i + 1 for t in v.incidence for i in t}
     assert max(rows) >= 256 and len({k >> 3 for k in rows}) >= 30
-
-
-def test_initial_rays_are_tight_on_every_initial_row_but_their_own():
-    # enumerate_vertices takes the initial rays' zero sets from this fact
-    systems = [build_hrep(graph) for graph in GRAPHS.values()]
-    systems += [_hsystem(seed) for seed in HSYSTEM_SEEDS] + [_many_row_system()]
-    for h in systems:
-        rows = polytope._homogeneous_rows(h)
-        initial, rays = polytope._initial_cone(rows, h.dim + 1)
-        for k, ray in enumerate(rays):
-            for i, j in enumerate(initial):
-                dot = polytope._idot(ray, rows[j])
-                assert dot > 0 if i == k else dot == 0
 
 
 def test_cut_cubes_cover_redundant_and_flat_cases():
@@ -163,7 +143,7 @@ def test_cut_cubes_cover_redundant_and_flat_cases():
     redundant_tight = flat = 0
     for seed in HSYSTEM_SEEDS:
         h = _hsystem(seed)
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         if v.dim != h.dim:
             flat += 1
             continue
@@ -177,19 +157,17 @@ def test_cut_cubes_cover_redundant_and_flat_cases():
 def test_initial_cone_of_a_slab_is_refused_by_both_routes():
     # 0 <= x <= 1 in the plane is invariant along y: rank 2 < d = 3
     h = HPolytope.from_inequalities(2, [((1, 0), 1), ((-1, 0), 0)])
-    rows = polytope._homogeneous_rows(h)
     with pytest.raises(UnboundedPolytope):
-        fraction_initial_cone(rows, 3)
+        fraction_initial_cone(homogeneous_rows(h), 3)
     with pytest.raises(UnboundedPolytope):
-        polytope._initial_cone(rows, 3)
+        dd_vertices(h)
 
 
-def test_hrep_and_initial_cone_build_no_fraction():
+def test_hrep_and_vertex_stage_build_no_fraction():
     assert fraction_calls(lambda: Fraction(1, 2) + 1) > 0  # the counter counts
     assert fraction_calls(build_hrep, multi_theta(8)) == 0
-    rows = polytope._homogeneous_rows(build_hrep(multi_theta(6)))
-    assert fraction_calls(polytope._initial_cone, rows, len(rows[0])) == 0
-    assert fraction_calls(enumerate_vertices, build_hrep(multi_theta(6))) == 0
+    graph = multi_theta(8)
+    assert fraction_calls(enumerate_vertices, graph, build_hrep(graph)) == 0
     assert fraction_calls(build_lattice, multi_theta(12)) == 0
     # skip mode builds its few Fractions (the covolume) whatever the genus
     small, large = multi_theta(3), multi_theta(12)
@@ -216,10 +194,10 @@ def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
 
 def _transposition_case(name):
     """(masks, width) for the transposition test; widths 9 and 65 are just
-    past a byte and a machine word, and the 300-row system's vertex zero
-    sets (homogeneous row k+1 is H-row k) are 301 bits wide."""
+    past a byte and a machine word, and the 300-row system's vertex masks,
+    shifted up one bit as homogeneous zero sets, are 301 bits wide."""
     if name == "300-rows":
-        v = enumerate_vertices(_many_row_system())
+        v = dd_vertices(_many_row_system())
         return [t << 1 for t in v.tight], 301
     if name == "all-zero":
         return [0, 0, 0], 4
@@ -249,7 +227,23 @@ def test_vertex_denominators_match_fraction_vertices(name):
 
 
 def test_theta7_counts():
-    # no other tier-1 test enumerates genus 7, whose double description
-    # peaks at 2,620 rays
+    # the double description found the same counts when it was the route
     report, _ = analyze_graph(multi_theta(7))
     assert (report.vertex_count, report.facet_count) == (2376, 48)
+
+
+def test_theta7_vertex_list_is_certified():
+    # every listed point satisfies every row, its tight mask is the rows
+    # it makes tight, and those rows have rank n, so it is a vertex; with
+    # the 2,376 distinct points of test_theta7_counts, the list is the
+    # whole vertex set, at a genus the double description oracle does not
+    # reach in a test run
+    graph = multi_theta(7)
+    h = build_hrep(graph)
+    v = enumerate_vertices(graph, h)
+    assert len(set(v.points)) == len(v.points) == 2376
+    for p, tight in zip(v.points, v.tight):
+        slack = [row.b * v.scale - polytope._idot(row.a, p) for row in h.rows]
+        assert min(slack) >= 0
+        assert tight == sum(1 << k for k, x in enumerate(slack) if x == 0)
+        assert polytope._integer_rank([h.rows[k].a for k in polytope._bits(tight)]) == h.dim

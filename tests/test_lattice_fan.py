@@ -22,6 +22,7 @@ from graphtoric.lattice_fan import (
 )
 from graphtoric.polytope import HPolytope, build_hrep, enumerate_vertices, facet_defining_rows
 from helpers import (
+    dd_vertices,
     edge_route_verdict,
     gauss_rank,
     gf2_rank,
@@ -192,7 +193,7 @@ class TestLatticeOracles:
             points += [_random_point(rng, n) for _ in range(rng.randint(0, 2))]
             rng.shuffle(points)
             if graph.n_vertices <= 4:
-                points += enumerate_vertices(build_hrep(graph)).vertices
+                points += enumerate_vertices(graph, build_hrep(graph)).vertices
             v = rational_vpolytope(n, points, ((),) * len(points))
             bad = next((p for p in points if not inverse_lattice_member(p, L)), None)
             assert is_lattice_polytope(v, L) == (bad is None, bad)
@@ -238,7 +239,7 @@ class TestLatticePolytope:
         h = HPolytope.from_inequalities(
             2, [((2, 0), 1), ((-1, 0), 0), ((0, 2), 1), ((0, -1), 0)]
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         Z2 = Lattice.from_generators([(1, 0), (0, 1)])
         verdict = is_lattice_polytope(v, Z2)
         assert not verdict.ok
@@ -255,7 +256,7 @@ class TestNormalFan:
 
     def test_cube_fan(self):
         h = unit_cube_h(3)
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         fan = normal_fan(h, v, facet_defining_rows(h, v))
         expected = set()
         for i in range(3):
@@ -295,7 +296,7 @@ class TestMapFan:
 
     def test_cube_under_map(self):
         h = unit_cube_h(3)
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         fan = map_fan(normal_fan(h, v, facet_defining_rows(h, v)), A_MAP)
         assert set(fan.rays) == {
             (0, 1, 1), (0, -1, -1), (1, 0, 1), (-1, 0, -1), (1, 1, 0), (-1, -1, 0),
@@ -324,7 +325,7 @@ class TestDelzantCheck:
         h = HPolytope.from_inequalities(
             3, [((1, 1, 1), 1), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert delzant_check(h, v, Z3, facet_defining_rows(h, v)).overall == SMOOTH
 
@@ -347,7 +348,7 @@ class TestDelzantCheck:
         h = HPolytope.from_inequalities(
             2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 2)]
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         Z2 = Lattice.from_generators([(1, 0), (0, 1)])
         verdict = delzant_check(h, v, Z2, facet_defining_rows(h, v))
         assert verdict.simple
@@ -381,12 +382,12 @@ class TestDelzantCheck:
             random_trivalent_graph(rng, 2 * rng.randint(1, 3)) for _ in range(60)
         ]:
             h = build_hrep(graph)
-            cases.append((h, enumerate_vertices(h), build_lattice(graph)))
+            cases.append((h, enumerate_vertices(graph, h), build_lattice(graph)))
         while len(cases) < 201:
             high = len(cases) >= 121
             n = rng.randint(5, 6) if high else rng.randint(2, 4)
             h = random_hsystem(rng, n, extra_rows=rng.randint(1, 2) if high else 3)
-            v = enumerate_vertices(h)
+            v = dd_vertices(h)
             if v.dim != n:
                 continue
             unit = high and len(cases) % 2 == 0

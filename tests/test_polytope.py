@@ -10,7 +10,6 @@ from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
     Row,
-    UnboundedPolytope,
     brute_force_vertices,
     build_hrep,
     contains,
@@ -22,6 +21,8 @@ from graphtoric.polytope import (
     is_simple,
 )
 from helpers import (
+    UnboundedPolytope,
+    dd_vertices,
     exhaustive_labellings,
     gauss_rank,
     inequality_hrep,
@@ -84,7 +85,7 @@ class TestBuildHrep:
 
     @pytest.mark.parametrize("dim, a", [(2, (1, 0, 7)), (3, (1, 0))], ids=["long", "short"])
     def test_row_of_wrong_length_is_refused(self, dim, a):
-        # accepted before, such a row made enumerate_vertices die (IndexError, ZeroDivisionError)
+        # accepted before, such a row made enumeration die (IndexError, ZeroDivisionError)
         rows = [(a, 1)] + [(tuple(int(i == k) for k in range(dim)), 1) for i in range(dim)]
         message = rf"row \(1, 0.*length {len(a)}, expected {dim}"
         with pytest.raises(ValueError, match=message):
@@ -95,27 +96,27 @@ class TestBuildHrep:
 
 class TestEnumerateVertices:
     def test_tetrahedron(self, theta2):
-        v = enumerate_vertices(build_hrep(theta2))
+        v = enumerate_vertices(theta2, build_hrep(theta2))
         assert set(v.vertices) == TET_VERTICES
         assert v.dim == 3
 
     def test_unit_cube(self):
-        v = enumerate_vertices(unit_cube(3))
+        v = dd_vertices(unit_cube(3))
         assert len(v.vertices) == 8
         assert all(set(p) <= {F(0), F(1)} for p in v.vertices)
 
     def test_dumbbell_has_one_non_integral_vertex(self, dumbbell):
-        v = enumerate_vertices(build_hrep(dumbbell))
+        v = enumerate_vertices(dumbbell, build_hrep(dumbbell))
         assert (F(1, 2), F(1), F(1, 2)) in v.vertices
         assert len(v.vertices) == 5
 
     def test_vertices_sorted_lexicographically(self, theta3):
-        v = enumerate_vertices(build_hrep(theta3))
+        v = enumerate_vertices(theta3, build_hrep(theta3))
         assert list(v.vertices) == sorted(v.vertices)
 
     def test_incidence_is_exact(self, theta3):
         h = build_hrep(theta3)
-        v = enumerate_vertices(h)
+        v = enumerate_vertices(theta3, h)
         for p, tight in zip(v.vertices, v.incidence):
             for i, row in enumerate(h.rows):
                 lhs = sum(c * x for c, x in zip(row.a, p))
@@ -125,19 +126,23 @@ class TestEnumerateVertices:
     def test_tight_rows_pin_each_vertex(self, dumbbell):
         # the tight normals at any vertex must have full rank
         h = build_hrep(dumbbell)
-        v = enumerate_vertices(h)
+        v = enumerate_vertices(dumbbell, h)
         for tight in v.incidence:
             assert gauss_rank([h.rows[i].a for i in tight]) == h.dim
 
+    def test_system_of_another_dimension_is_refused(self, theta2, theta3):
+        with pytest.raises(ValueError, match="dimension 6, the graph 3 edges"):
+            enumerate_vertices(theta2, build_hrep(theta3))
+
     def test_empty_system(self):
         h = HPolytope.from_inequalities(1, [((1,), 0), ((-1,), -1)])
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         assert v.vertices == ()
         assert v.dim == -1
 
     def test_single_point(self):
         h = HPolytope.from_inequalities(1, [((1,), 0), ((-1,), 0)])
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         assert v.vertices == ((F(0),),)
         assert v.dim == 0
 
@@ -145,7 +150,7 @@ class TestEnumerateVertices:
         h = HPolytope.from_inequalities(
             2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         assert set(v.vertices) == {(F(0), F(0)), (F(0), F(1))}
         assert v.dim == 1
 
@@ -153,35 +158,36 @@ class TestEnumerateVertices:
         # slab 0 <= x <= 1 in the plane: invariant along y
         h = HPolytope.from_inequalities(2, [((1, 0), 1), ((-1, 0), 0)])
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(h)
+            dd_vertices(h)
 
     def test_unbounded_by_recession_ray(self):
         h = HPolytope.from_inequalities(2, [((-1, 0), 0), ((0, -1), 0)])
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(h)
+            dd_vertices(h)
 
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("name", ["theta2", "dumbbell", "k4"])
     def test_agrees_on_graph_polytopes(self, name, request):
-        h = build_hrep(request.getfixturevalue(name))
-        assert enumerate_vertices(h).vertices == brute_force_vertices(h).vertices
+        graph = request.getfixturevalue(name)
+        h = build_hrep(graph)
+        assert enumerate_vertices(graph, h) == brute_force_vertices(h)
 
     def test_agrees_on_cube(self):
         h = unit_cube(3)
-        assert enumerate_vertices(h).vertices == brute_force_vertices(h).vertices
+        assert dd_vertices(h).vertices == brute_force_vertices(h).vertices
 
     def test_agrees_on_random_systems(self):
         rng = random.Random(7)
         for _ in range(5):
             h = random_hsystem(rng, rng.randint(2, 3))
-            assert enumerate_vertices(h).vertices == brute_force_vertices(h).vertices
+            assert dd_vertices(h).vertices == brute_force_vertices(h).vertices
 
 
 class TestFacetsAndSimplicity:
     def test_tetrahedron_all_facets(self, theta2):
         h = build_hrep(theta2)
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         assert facet_defining_rows(h, v) == tuple(range(4))
         assert is_simple(h, v, facet_defining_rows(h, v)).simple
 
@@ -190,7 +196,7 @@ class TestFacetsAndSimplicity:
             2,
             [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), 3)],
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         facets = facet_defining_rows(h, v)
         redundant = next(i for i, r in enumerate(h.rows) if r.b == 3)
         assert redundant not in facets
@@ -203,7 +209,7 @@ class TestFacetsAndSimplicity:
             2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
         )
         h = HPolytope(2, square.rows + (extra,))
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         facets = facet_defining_rows(h, v)
         assert facets == (0, 1, 2, 3)
         assert is_simple(h, v, facets).simple
@@ -211,7 +217,7 @@ class TestFacetsAndSimplicity:
 
     def test_origin_witness(self, theta3):
         h = build_hrep(theta3)
-        v = enumerate_vertices(h)
+        v = enumerate_vertices(theta3, h)
         verdict = is_simple(h, v, facet_defining_rows(h, v))
         assert not verdict.simple
         assert verdict.witness == (F(0),) * 6
@@ -219,7 +225,7 @@ class TestFacetsAndSimplicity:
 
     def test_dumbbell_witness(self, dumbbell):
         h = build_hrep(dumbbell)
-        v = enumerate_vertices(h)
+        v = enumerate_vertices(dumbbell, h)
         verdict = is_simple(h, v, facet_defining_rows(h, v))
         assert not verdict.simple
         assert verdict.witness == (F(1, 2), F(1), F(1, 2))
@@ -228,15 +234,16 @@ class TestFacetsAndSimplicity:
     def test_vertex_set_of_another_system_is_refused(self):
         # theta-2's vertices are tight on its fourth row, which the cut
         # system does not have
-        h = build_hrep(multi_theta(2))
+        graph = multi_theta(2)
+        h = build_hrep(graph)
         with pytest.raises(ValueError):
-            facet_defining_rows(HPolytope(3, h.rows[:-1]), enumerate_vertices(h))
+            facet_defining_rows(HPolytope(3, h.rows[:-1]), enumerate_vertices(graph, h))
 
     def test_requires_full_dimension(self):
         h = HPolytope.from_inequalities(
             2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
         )
-        v = enumerate_vertices(h)
+        v = dd_vertices(h)
         with pytest.raises(NotFullDimensional):
             facet_defining_rows(h, v)
 
@@ -321,7 +328,7 @@ class TestCubeVertexLabellings:
 
     def test_labelling_points_are_polytope_vertices(self, theta3):
         h = build_hrep(theta3)
-        verts = set(enumerate_vertices(h).vertices)
+        verts = set(enumerate_vertices(theta3, h).vertices)
         for lab in cube_vertex_labellings(theta3):
             assert lab in verts  # tuples of ints hash and compare as Fractions
 
@@ -345,7 +352,7 @@ class TestExport:
         )
 
     def test_vrep_format(self, theta2):
-        out = format_vrep(enumerate_vertices(build_hrep(theta2)))
+        out = format_vrep(enumerate_vertices(theta2, build_hrep(theta2)))
         assert out == (
             "V-representation\n"
             "begin\n"
@@ -358,5 +365,5 @@ class TestExport:
         )
 
     def test_vrep_prints_exact_fractions(self, dumbbell):
-        out = format_vrep(enumerate_vertices(build_hrep(dumbbell)))
+        out = format_vrep(enumerate_vertices(dumbbell, build_hrep(dumbbell)))
         assert "1 1/2 1 1/2" in out

@@ -23,7 +23,7 @@ def run_boundedness_suite(cases=100, seed=101) -> int:
     rng = random.Random(seed)
     for i in range(cases):
         graph = random_trivalent_graph(rng, 4 if i % 2 else 2)
-        v = enumerate_vertices(build_hrep(graph))
+        v = enumerate_vertices(graph, build_hrep(graph))
         origin = (F(0),) * graph.n_edges
         assert origin in v.vertices
         for p in v.vertices:
