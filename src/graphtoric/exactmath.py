@@ -8,7 +8,8 @@ each row so and runs fraction-free (Bareiss) elimination.  solve and
 inverse share one rational Gauss-Jordan elimination, on m | b and m | I,
 with deterministic pivoting (first nonzero entry, smallest row index).
 hnf returns a row-style Hermite normal form together with its unimodular
-transform, both read off the reduced rows of m | I.
+transform, both read off the reduced rows of m | I.  Over GF(2), vectors
+are bitmasks, and gf2_echelon is the one elimination.
 """
 
 from __future__ import annotations
@@ -242,6 +243,22 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 def primitive_direction(v: Sequence) -> tuple[int, ...]:
     """Primitive integer vector spanning the same ray as a rational v."""
     return primitive(scaled(v)[1])
+
+
+def gf2_echelon(masks: Iterable[int]) -> dict[int, int]:
+    """The reduced GF(2) echelon basis of the span of some bitmasks, as
+    pivot -> mask: the pivot is the mask's lowest set bit, and every other
+    mask of the basis is clear there.  The form is unique to the span."""
+    echelon: dict[int, int] = {}
+    for mask in masks:
+        for pivot, other in echelon.items():
+            if mask >> pivot & 1:
+                mask ^= other
+        if mask:
+            pivot = (mask & -mask).bit_length() - 1
+            echelon = {q: m ^ mask if m >> pivot & 1 else m for q, m in echelon.items()}
+            echelon[pivot] = mask
+    return echelon
 
 
 class EchelonBasis:

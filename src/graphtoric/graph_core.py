@@ -62,7 +62,9 @@ class TrivalentGraph:
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    # each vertex's triple, in the order validation's walk first reached it
+    # from validation's walk: each vertex's tree-path mask (cycle_basis and
+    # the vertex stage read it), and the triples in the walk's order
+    _paths: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _triples: tuple[TrinionTriple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,6 +88,7 @@ class TrivalentGraph:
         paths, triples = _tree_paths(self.n_vertices, self.edges)
         if None in paths:
             raise Disconnected()
+        object.__setattr__(self, "_paths", tuple(paths))
         object.__setattr__(self, "_triples", triples)
         if self.genus < 2:
             raise GenusTooSmall(self.genus)
@@ -105,10 +108,11 @@ class TrivalentGraph:
         """The fundamental cycles of the spanning tree, as edge bitmasks.
 
         A non-tree edge closes one cycle with the tree paths to its ends,
-        and a loop is a cycle on its own.  The genus many masks span, over
-        GF(2), the edge sets meeting each vertex evenly (loops twice).
+        kept by validation, and a loop is a cycle on its own.  The genus
+        many masks span, over GF(2), the edge sets meeting each vertex
+        evenly (loops twice).
         """
-        path = _tree_paths(self.n_vertices, self.edges)[0]
+        path = self._paths
         masks = [(1 << i) ^ path[u] ^ path[v] for i, (u, v) in enumerate(self.edges)]
         return [mask for mask in masks if mask]
 

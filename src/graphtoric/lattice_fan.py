@@ -26,7 +26,8 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import QMatrix, det, exact, hnf, integer_det, primitive, primitive_direction, scaled
+from .exactmath import (QMatrix, det, exact, gf2_echelon, hnf, integer_det, primitive,
+                        primitive_direction, scaled)
 from .graph_core import TrivalentGraph
 from .polytope import HPolytope, VPolytope, _bits, is_simple
 
@@ -84,19 +85,13 @@ class Lattice:
 
 def build_lattice(graph: TrivalentGraph) -> Lattice:
     """Lattice of a trivalent graph: Z^n plus the trinion half-sums.  Twice
-    its basis is c at the pivot (lowest bit) of each mask c of the reduced
-    GF(2) echelon basis of the trinion parity masks, and 2e_j elsewhere."""
+    its basis is c at the pivot (lowest bit) of each mask c of gf2_echelon
+    of the trinion parity masks, and 2e_j elsewhere."""
     n = graph.n_edges
-    echelon: dict[int, int] = {}  # pivot -> mask, each clear at the other pivots
-    for triple in graph.trinion_triples():
-        mask = sum(1 << i for i in triple.edges if triple.edges.count(i) == 1)  # loops drop out
-        for pivot, other in echelon.items():
-            if mask >> pivot & 1:
-                mask ^= other
-        if mask:
-            pivot = (mask & -mask).bit_length() - 1
-            echelon = {q: m ^ mask if m >> pivot & 1 else m for q, m in echelon.items()}
-            echelon[pivot] = mask
+    echelon = gf2_echelon(
+        sum(1 << i for i in t.edges if t.edges.count(i) == 1)  # loops drop out
+        for t in graph.trinion_triples()
+    )
     rows = [tuple(echelon[j] >> i & 1 if j in echelon else 2 * (i == j) for i in range(n))
             for j in range(n)]
     return Lattice(n, 2, tuple(rows))

@@ -14,8 +14,8 @@ Both builders merge equal rows and nothing downstream merges them again;
 a row repeated in a hand-built system counts as one facet (see
 facet_defining_rows).  A repeated index in a trinion triple (a loop)
 folds into a coefficient of 2.  A graph polytope's vertices come in
-closed form from the graph's GF(2) cycle space (enumerate_vertices),
-cross-checked by a brute-force tight-subset oracle.
+closed form from the graph's spanning tree and GF(2) cycle space
+(enumerate_vertices), cross-checked by a brute-force tight-subset oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import and_, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, primitive, primitive_direction, scaled, solve
+from .exactmath import QMatrix, UNIQUE, gf2_echelon, primitive, primitive_direction, scaled, solve
 from .graph_core import TrivalentGraph
 
 
@@ -255,13 +255,10 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
 
 def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
     """The 0/1 labellings z of the edges off the cycle-space element s that
-    make x = z + s/2 a vertex, as edge bitmasks.  In G_s, the graph with
-    each cycle of s contracted to its lowest vertex and s deleted, z has
-    odd degree at the contracted cycles and even degree elsewhere (a loop
-    counts twice).  G_s is connected, so such z exist iff s has an even
-    number of cycles: one T-join, the XOR of the tree paths from vertex 0
-    to each cycle, plus the span of the tree's fundamental cycles.
-    """
+    make x = z + s/2 a vertex, as edge bitmasks, each once.  They exist iff
+    s has an even number k of cycles: the XOR of the tree paths from vertex
+    0 to one vertex per cycle, s removed, plus the span of the GF(2) echelon
+    of c minus s, c in the cycle basis, which has g-k masks (README)."""
     node = list(range(graph.n_vertices))
 
     def find(v: int) -> int:
@@ -276,22 +273,8 @@ def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
     cycles = {find(u) for u, _ in ends}
     if len(cycles) % 2:
         return []
-    kept = [(i, find(u), find(v)) for i, (u, v) in enumerate(graph.edges) if not s >> i & 1]
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in node]
-    for i, a, b in kept:
-        adjacency[a].append((b, i))
-        adjacency[b].append((a, i))
-    path = {0: 0}
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        for b, i in adjacency[a]:
-            if b not in path:
-                path[b] = path[a] ^ 1 << i
-                stack.append(b)
-    t_join = reduce(xor, (path[c] for c in cycles), 0)
-    # a tree edge closes no cycle: its mask cancels to 0
-    return _span(t_join, [m for i, a, b in kept if (m := 1 << i ^ path[a] ^ path[b])])
+    t_join = reduce(xor, (graph._paths[c] for c in cycles), 0) & ~s
+    return _span(t_join, gf2_echelon(c & ~s for c in graph.cycle_basis()).values())
 
 
 def _span(base: int, generators: Iterable[int]) -> list[int]:

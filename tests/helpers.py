@@ -6,9 +6,11 @@ enumeration used before the closed form, cofactor determinants, abs-pivot
 Gaussian elimination, exhaustive labelling search, GF(2) bit elimination,
 the Fraction, per-ray and normalising routes that vertex enumeration, the
 lattice and the H-representation used before they kept to integers, the
-edge route the smoothness test used before it read the normal fan, and
-the incidence rebuild the trinion triples came from before validation
-kept them) so that agreement is meaningful.
+edge route the smoothness test used before it read the normal fan, the
+incidence rebuild the trinion triples came from before validation kept
+them, and the contracted-graph walk the vertex labellings came from
+before they read the graph's own spanning tree) so that agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -301,6 +303,53 @@ def fraction_initial_cone(rows, d):
         raise UnboundedPolytope("rows of rank below d")
     binv = inverse(QMatrix([rows[j] for j in initial]))
     return initial, [primitive_direction(col) for col in zip(*binv.rows)]
+
+
+def contracted_parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
+    """The labellings z of the edges off the cycle-space element s that
+    make z + s/2 a vertex, by the route _parity_solutions replaced: build
+    G_s, the graph with each cycle of s contracted to its lowest vertex
+    and s deleted, and walk it from vertex 0.  z has odd degree at the
+    contracted cycles and even degree elsewhere, so there is none when s
+    has an odd number of cycles; otherwise z is one T-join, the XOR of the
+    walk's paths to the contracted cycles, plus each GF(2) combination of
+    G_s's fundamental cycles."""
+    node = list(range(graph.n_vertices))
+
+    def find(v):
+        while node[v] != v:
+            v = node[v]
+        return v
+
+    ends = [edge for i, edge in enumerate(graph.edges) if s >> i & 1]
+    for u, v in ends:
+        low, high = sorted((find(u), find(v)))
+        node[high] = low
+    cycles = {find(u) for u, _ in ends}
+    if len(cycles) % 2:
+        return []
+    kept = [(i, find(u), find(v)) for i, (u, v) in enumerate(graph.edges) if not s >> i & 1]
+    adjacency = [[] for _ in node]
+    for i, a, b in kept:
+        adjacency[a].append((b, i))
+        adjacency[b].append((a, i))
+    path = {0: 0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b, i in adjacency[a]:
+            if b not in path:
+                path[b] = path[a] ^ 1 << i
+                stack.append(b)
+    t_join = 0
+    for c in cycles:
+        t_join ^= path[c]
+    span = [t_join]
+    for i, a, b in kept:
+        mask = 1 << i ^ path[a] ^ path[b]
+        if mask:  # a tree edge closes no cycle: its mask cancels to 0
+            span += [m ^ mask for m in span]
+    return span
 
 
 # ---------------------------------------------------------------------------

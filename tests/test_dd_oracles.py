@@ -34,6 +34,7 @@ from graphtoric.polytope import (
 )
 from helpers import (
     UnboundedPolytope,
+    contracted_parity_solutions,
     dd_vertices,
     echelon_facet_rows,
     fraction_calls,
@@ -115,6 +116,44 @@ def test_graphs_of_each_genus_match_double_description(g):
     for graph in [multi_theta(g)] + graphs:
         h = build_hrep(graph)
         assert enumerate_vertices(graph, h) == dd_vertices(h)
+
+
+def _component_count(graph, s):
+    """The connected components of the edge set s, by a depth-first search
+    over the graph vertices its edges touch."""
+    neighbours = {}
+    for i, (u, v) in enumerate(graph.edges):
+        if s >> i & 1:
+            neighbours.setdefault(u, []).append(v)
+            neighbours.setdefault(v, []).append(u)
+    seen, count = set(), 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack += neighbours[x]
+    return count
+
+
+def test_parity_solutions_match_contracted_graph_walk():
+    # every cycle-space element S of multi_theta(2..9) and of 10 random
+    # graphs per genus 2..9; S with k cycles has 2^(g-k) labellings when k
+    # is even and none when k is odd
+    rng = random.Random(2209)
+    randoms = [random_trivalent_graph(rng, 2 * g - 2) for g in range(2, 10) for _ in range(10)]
+    assert sum(not graph.is_loop_free() for graph in randoms) >= 20
+    for graph in [multi_theta(g) for g in range(2, 10)] + randoms:
+        for s in polytope._span(0, graph.cycle_basis()):
+            z = polytope._parity_solutions(graph, s)
+            k = _component_count(graph, s)
+            assert len(z) == (0 if k % 2 else 1 << graph.genus - k), (graph, bin(s))
+            assert len(set(z)) == len(z)
+            assert set(z) == set(contracted_parity_solutions(graph, s)), (graph, bin(s))
 
 
 @pytest.mark.parametrize("seed", HSYSTEM_SEEDS)

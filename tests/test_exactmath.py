@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from graphtoric.exactmath import (
     EchelonBasis,
     QMatrix,
     det,
+    gf2_echelon,
     hnf,
     integer_det,
     inverse,
@@ -21,7 +23,7 @@ from graphtoric.cli import AnalysisReport, analyze_graph
 from graphtoric.graph_core import multi_theta
 from graphtoric.lattice_fan import Lattice, is_lattice_point
 from graphtoric.polytope import HPolytope, contains
-from helpers import cofactor_det, gauss_rank, gauss_solve
+from helpers import cofactor_det, gauss_rank, gauss_solve, gf2_rank
 
 F = Fraction
 
@@ -166,6 +168,36 @@ class TestEchelonBasis:
         assert b.add((1, 1, 0))
         assert not b.add((3, 2, 0))
         assert b.rank == 2
+
+
+class TestGf2Echelon:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reduced_echelon_of_random_masks(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 40)
+        masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(0, 30))]
+        self._check(masks, width)
+
+    @pytest.mark.parametrize("masks", [[], [0], [0, 0, 0]])
+    def test_empty_and_zero_input(self, masks):
+        assert gf2_echelon(masks) == {}
+        self._check(masks, 1)
+
+    def _check(self, masks, width):
+        echelon = gf2_echelon(masks)
+        pivots = list(echelon)
+        assert len(set(pivots)) == len(pivots)
+        for pivot, mask in echelon.items():
+            assert mask & -mask == 1 << pivot
+            assert not any(other >> pivot & 1 for q, other in echelon.items() if q != pivot)
+        assert len(echelon) == gf2_rank([_bit_vector(m, width) for m in masks])
+        # the basis lies in the span of the masks, so the spans are equal
+        union = masks + list(echelon.values())
+        assert gf2_rank([_bit_vector(m, width) for m in union]) == len(echelon)
+
+
+def _bit_vector(mask, width):
+    return [mask >> i & 1 for i in range(width)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from graphtoric import graph_core
 from graphtoric.graph_core import (
     DegreeViolation,
     Disconnected,
@@ -16,6 +17,7 @@ from graphtoric.graph_core import (
     _tree_paths,
     validate,
 )
+from graphtoric.polytope import build_hrep, cube_vertex_labellings, enumerate_vertices
 from helpers import gf2_rank, incidence_triples, random_trivalent_graph
 
 
@@ -119,12 +121,33 @@ class TestCycleBasis:
 
     def test_kept_tree_paths_stay_out_of_equality_and_repr(self, graphs):
         for graph in graphs:
-            assert graph._triples == _tree_paths(graph.n_vertices, graph.edges)[1]
+            paths, triples = _tree_paths(graph.n_vertices, graph.edges)
+            assert graph._paths == tuple(paths)
+            assert graph._triples == triples
             twin = TrivalentGraph(graph.n_vertices, graph.edges)
             assert twin == graph and hash(twin) == hash(graph)
             assert repr(graph) == (
                 f"TrivalentGraph(n_vertices={graph.n_vertices}, edges={graph.edges!r})"
             )
+
+    def test_validation_walks_the_graph_once(self, monkeypatch, dumbbell):
+        # construction walks the graph; the cycle basis and the stages that
+        # read it, the vertices and the labellings, reuse that walk
+        calls = []
+
+        def counting(n, edges):
+            calls.append(n)
+            return _tree_paths(n, edges)
+
+        monkeypatch.setattr(graph_core, "_tree_paths", counting)
+        for n, edges in [(dumbbell.n_vertices, dumbbell.edges), (10, multi_theta(6).edges)]:
+            calls.clear()
+            graph = TrivalentGraph(n, edges)
+            graph.cycle_basis()
+            graph.cycle_basis()
+            enumerate_vertices(graph, build_hrep(graph))
+            cube_vertex_labellings(graph)
+            assert calls == [n]
 
 
 class TestTrinionTriples:
