@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from math import gcd, lcm
-from operator import and_, mul, or_, xor
+from operator import and_, getitem, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactmath import QMatrix, UNIQUE, gf2_echelon, primitive, primitive_direction, scaled, solve
@@ -152,25 +152,29 @@ class VPolytope:
         return cache(lambda c: Fraction(c, scale))
 
 
-def _vpolytope_from_rays(
-    h: HPolytope, rays: Sequence[tuple[int, ...]], tight: Sequence[int]
-) -> VPolytope:
+def _vpolytope_from_rays(h: HPolytope, rays: Sequence[tuple[int, ...]], tight: Sequence[int]) -> VPolytope:
     """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0,
-    ``tight[r]`` being the mask of the rows of ``h`` tight at ray r.
-
-    The scale is the lcm L of all t, which is the lcm of all vertex
-    denominators because each ray is primitive, and vertex x is kept as
-    the integer point L*x.  The affine dimension of a polytope is n minus
-    the rank of its implicit equalities, the rows tight at every vertex.
+    ``tight[r]`` being the mask of the rows of ``h`` tight at ray r.  The
+    scale is the lcm L of all t, which is the lcm of all vertex
+    denominators because each ray is primitive; vertex x is the point L*x.
     """
-    if not rays:
-        return VPolytope(-1, 1, (), ())
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
-    order = sorted(range(len(rays)), key=points.__getitem__)
+    return _vpolytope(h, scale, points, tight)
+
+
+def _vpolytope(h: HPolytope, scale: int, points: Sequence, tight: Sequence[int]) -> VPolytope:
+    """The V-polytope of the points scale*x with row masks ``tight``, each
+    point a sequence of ints that sorts in tuple order (bytes of one length
+    do), kept sorted as int tuples.  The affine dimension is n minus the
+    rank of the implicit equalities, the rows tight at every vertex."""
+    if not points:
+        return VPolytope(-1, 1, (), ())
+    order = sorted(range(len(points)), key=points.__getitem__)
     equalities = [h.rows[k].a for k in _bits(reduce(and_, tight))]
     dim = h.dim - _integer_rank(equalities)
-    return VPolytope(dim, scale, tuple(points[r] for r in order), tuple(tight[r] for r in order))
+    points = tuple(map(tuple, map(points.__getitem__, order)))
+    return VPolytope(dim, scale, points, tuple(map(tight.__getitem__, order)))
 
 
 def _bits(mask: int) -> list[int]:
@@ -215,42 +219,47 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     ValueError if the dimensions differ), in closed form: x is a vertex iff
     S = {e : x_e = 1/2} is in the graph's GF(2) cycle space and the other
     coordinates are a labelling z that _parity_solutions lists for S (the
-    README proves it).  The rays are (1, z) for S empty, else (2, 2z + S).
-    The tight rows are read from ``h.rows``: per edge e and value 2x_e, the
-    mask of the rays at it (one transposition of the S and z masks); per
-    row, the OR over the value tuples on its support that make it tight of
-    the AND of those masks; and one transposition back to each vertex.
+    README proves it).  The scale is 2 if some S is not empty, else 1.
+    One transposition of the S and z masks gives each edge's vertex masks
+    at x_e = 1/2 and at 1.  Each becomes one integer with a byte per vertex,
+    and the edges' bytes scale*x_e interleave so that vertex r is bytes r*n
+    to r*n + n.  A row of ``h.rows`` is tight at the OR, over its support's
+    values 2x that make it tight, of the AND of the masks at those values.
     """
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
     found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in _parity_solutions(graph, s)]
-    rays = [
-        (2, *((s >> e & 1) + 2 * (z >> e & 1) for e in range(n))) if s
-        else (1, *(z >> e & 1 for e in range(n)))
-        for s, z in found
-    ]
-    halves, ones = zip(*found)
-    every = (1 << len(rays)) - 1
-    at = [(every & ~(a | b), a, b) for a, b in zip(_transpose(halves, n), _transpose(ones, n))]
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    row_rays = []
+    count = len(found)
+    columns = _transpose([s | z << n for s, z in found], 2 * n)
+    scale = 2 if any(columns[:n]) else 1
+    # bit r of a column is its r-th binary digit from the right: read as
+    # big-endian bytes, less the "0" digits, it is 0 or 1 in byte r
+    spec, zeros = f"0{count}b", int.from_bytes(b"0" * count, "big")
+    lanes = [int.from_bytes(format(col, spec).encode(), "big") - zeros for col in columns]
+    buf = bytearray(count * n)
+    for e in range(n):
+        buf[e::n] = (lanes[e] + scale * lanes[n + e]).to_bytes(count, "little")
+    every = (1 << count) - 1
+    at = [(every & ~(a | b), a, b) for a, b in zip(columns[:n], columns[n:])]
+    row_vertices = []
     for row in h.rows:
-        support = tuple(e for e, c in enumerate(row.a) if c)
-        if support not in groups:
-            # the rays by their values on the support, empty groups dropped
-            by_values = {(): every}
-            for e in support:
-                by_values = {
-                    w + (v,): m for w, rays_w in by_values.items()
-                    for v in range(3) if (m := rays_w & at[e][v])
-                }
-            groups[support] = by_values
-        coeffs = [row.a[e] for e in support]
-        row_rays.append(reduce(or_, (
-            m for w, m in groups[support].items() if sum(map(mul, coeffs, w)) == 2 * row.b
-        ), 0))
-    return _vpolytope_from_rays(h, rays, _transpose(row_rays, len(rays)))
+        cols = [at[e] for e, c in enumerate(row.a) if c]
+        row_vertices.append(reduce(or_, [
+            reduce(and_, map(getitem, cols, w), every)
+            for w in _tight_values(tuple(filter(None, row.a)), row.b)
+        ], 0))
+    data = bytes(buf)
+    points = [data[r : r + n] for r in range(0, count * n, n)]
+    return _vpolytope(h, scale, points, _transpose(row_vertices, count))
+
+
+@lru_cache(maxsize=256)
+def _tight_values(coeffs: tuple[int, ...], b: int) -> tuple[tuple[int, ...], ...]:
+    """The values w in {0, 1, 2}^k with coeffs.w = 2b: the values 2x on a
+    row's support of k edges at which the row is tight."""
+    values = itertools.product(range(3), repeat=len(coeffs))
+    return tuple(w for w in values if sum(map(mul, coeffs, w)) == 2 * b)
 
 
 def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:

@@ -29,6 +29,9 @@ from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
     VPolytope,
+    _parity_solutions,
+    _span,
+    _transpose,
     _vpolytope_from_rays,
     contains,
     facet_defining_rows,
@@ -303,6 +306,45 @@ def fraction_initial_cone(rows, d):
         raise UnboundedPolytope("rows of rank below d")
     binv = inverse(QMatrix([rows[j] for j in initial]))
     return initial, [primitive_direction(col) for col in zip(*binv.rows)]
+
+
+def ray_tuple_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
+    """The graph polytope's vertices by the route enumerate_vertices took
+    before it built them one edge column at a time: per vertex, the
+    primitive homogeneous ray (1, z) for S empty, else (2, 2z + S), built
+    coordinate by coordinate and rescaled by _vpolytope_from_rays.  The
+    tight rows group the vertices, per row support, by their values 2x on
+    it (empty groups dropped), and OR the groups whose values make the
+    row tight."""
+    n = h.dim
+    found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in _parity_solutions(graph, s)]
+    rays = [
+        (2, *((s >> e & 1) + 2 * (z >> e & 1) for e in range(n))) if s
+        else (1, *(z >> e & 1 for e in range(n)))
+        for s, z in found
+    ]
+    halves, ones = zip(*found)
+    every = (1 << len(rays)) - 1
+    at = [(every & ~(a | b), a, b) for a, b in zip(_transpose(halves, n), _transpose(ones, n))]
+    groups = {}
+    row_rays = []
+    for row in h.rows:
+        support = tuple(e for e, c in enumerate(row.a) if c)
+        if support not in groups:
+            by_values = {(): every}
+            for e in support:
+                by_values = {
+                    w + (v,): m for w, rays_w in by_values.items()
+                    for v in range(3) if (m := rays_w & at[e][v])
+                }
+            groups[support] = by_values
+        coeffs = [row.a[e] for e in support]
+        mask = 0
+        for w, m in groups[support].items():
+            if sum(c * x for c, x in zip(coeffs, w)) == 2 * row.b:
+                mask |= m
+        row_rays.append(mask)
+    return _vpolytope_from_rays(h, rays, _transpose(row_rays, len(rays)))
 
 
 def contracted_parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:

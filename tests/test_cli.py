@@ -267,6 +267,12 @@ class TestOracle:
         assert main(["oracle", "--theta", "2"]) == 0
         assert "pass" in capsys.readouterr().out
 
+    def test_theta3_half_integral_vertices_pass(self, capsys):
+        # scale 2: the column route's points and masks must equal the
+        # brute-force solver's, or oracle exits 3
+        assert main(["oracle", "--theta", "3"]) == 0
+        assert "oracle pass: 10 vertices" in capsys.readouterr().out
+
     def test_size_guard(self, capsys):
         assert main(["oracle", "--theta", "5"]) == 2
         assert "dimension 6" in capsys.readouterr().err

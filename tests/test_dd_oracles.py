@@ -10,7 +10,9 @@ tight masks, dimension) on the fixture graphs, multi_theta(2..6) and
 seeded random graphs with loops; both are checked against the Fraction
 routes (fraction_vpolytope, echelon_facet_rows), and the double
 description alone on random cut cubes with redundant rows.  Past the
-oracle's reach, multi_theta(7)'s vertex list is certified row by row.
+oracle's reach, multi_theta(7)'s vertex list is certified row by row,
+and ray_tuple_vertices, the per-vertex ray route the edge columns
+replaced, is compared field for field up to genus 10.
 """
 
 import math
@@ -43,6 +45,7 @@ from helpers import (
     homogeneous_rows,
     per_bit_row_index,
     random_trivalent_graph,
+    ray_tuple_vertices,
     redundant_hsystem,
     supporting_hsystem,
 )
@@ -116,6 +119,19 @@ def test_graphs_of_each_genus_match_double_description(g):
     for graph in [multi_theta(g)] + graphs:
         h = build_hrep(graph)
         assert enumerate_vertices(graph, h) == dd_vertices(h)
+
+
+def test_edge_columns_match_ray_tuples():
+    # the column route against the per-vertex ray tuples it replaced, field
+    # for field, on multi_theta(2..10) and 60 random graphs of genus 2-9,
+    # past the double description's reach
+    rng = random.Random(2309)
+    randoms = [random_trivalent_graph(rng, 2 * rng.randint(2, 9) - 2) for _ in range(60)]
+    assert sum(not graph.is_loop_free() for graph in randoms) >= 15
+    assert max(graph.genus for graph in randoms) == 9
+    for graph in [multi_theta(g) for g in range(2, 11)] + randoms:
+        h = build_hrep(graph)
+        assert enumerate_vertices(graph, h) == ray_tuple_vertices(graph, h), graph
 
 
 def _component_count(graph, s):

@@ -10,6 +10,7 @@ from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
     Row,
+    VPolytope,
     brute_force_vertices,
     build_hrep,
     contains,
@@ -28,6 +29,7 @@ from helpers import (
     inequality_hrep,
     random_hsystem,
     random_trivalent_graph,
+    ray_tuple_vertices,
 )
 
 F = Fraction
@@ -129,6 +131,31 @@ class TestEnumerateVertices:
         v = enumerate_vertices(dumbbell, h)
         for tight in v.incidence:
             assert gauss_rank([h.rows[i].a for i in tight]) == h.dim
+
+    def test_genus_two_lanes_hold_zero_and_one(self, theta2):
+        # only S = {} passes at genus 2, so the scale is 1 and every byte
+        # of a column is 0 or 1
+        h = build_hrep(theta2)
+        v = enumerate_vertices(theta2, h)
+        assert v == VPolytope(3, 1, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), (14, 13, 11, 7))
+        assert v == ray_tuple_vertices(theta2, h)
+
+    def test_dumbbell_lanes_meet_loop_rows(self, dumbbell):
+        # the loop rows carry a coefficient 2; the one vertex off the cube,
+        # (1/2, 1, 1/2), has the bytes 1, 2, 1 at scale 2
+        h = build_hrep(dumbbell)
+        assert {2, -2} <= {c for row in h.rows for c in row.a}
+        v = enumerate_vertices(dumbbell, h)
+        points = ((0, 0, 0), (0, 0, 2), (1, 2, 1), (2, 0, 0), (2, 0, 2))
+        assert v == VPolytope(3, 2, points, (22, 14, 29, 19, 11))
+        assert v == ray_tuple_vertices(dumbbell, h)
+
+    @pytest.mark.parametrize("graph", ["theta2", "dumbbell", "theta4"])
+    def test_points_are_tuples_of_int(self, graph, request):
+        graph = request.getfixturevalue(graph)
+        v = enumerate_vertices(graph, build_hrep(graph))
+        assert type(v.points) is tuple
+        assert all(type(p) is tuple and all(type(c) is int for c in p) for p in v.points)
 
     def test_system_of_another_dimension_is_refused(self, theta2, theta3):
         with pytest.raises(ValueError, match="dimension 6, the graph 3 edges"):
