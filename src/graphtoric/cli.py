@@ -182,10 +182,9 @@ def analyze_graph(
 ) -> tuple[AnalysisReport, AnalysisArtifacts]:
     """Run every stage once, in the one place that sequences them.
 
-    The 2^g cube vertices are counted from the genus and, when vertices
-    are enumerated, checked against the integer ones.  Raises
-    ConsistencyError on a guard breach.
-    """
+    The 2^g cube vertices are counted from the genus and checked against
+    the integer vertices, if enumerated, which guards only the points'
+    lanes, scale and denominators (README).  Raises ConsistencyError."""
     t0 = time.perf_counter()
     h = build_hrep(graph)
     cube_vertex_count = 1 << graph.genus

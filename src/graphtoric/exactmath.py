@@ -9,7 +9,7 @@ inverse share one rational Gauss-Jordan elimination, on m | b and m | I,
 with deterministic pivoting (first nonzero entry, smallest row index).
 hnf returns a row-style Hermite normal form together with its unimodular
 transform, both read off the reduced rows of m | I.  Over GF(2), vectors
-are bitmasks, and gf2_echelon is the one elimination.
+are bitmasks, and gf2_echelon gives a span's reduced echelon basis.
 """
 
 from __future__ import annotations

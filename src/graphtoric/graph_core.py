@@ -10,6 +10,7 @@ per-vertex triples of incident edge indices drive everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -108,13 +109,18 @@ class TrivalentGraph:
         """The fundamental cycles of the spanning tree, as edge bitmasks.
 
         A non-tree edge closes one cycle with the tree paths to its ends,
-        kept by validation, and a loop is a cycle on its own.  The genus
-        many masks span, over GF(2), the edge sets meeting each vertex
-        evenly (loops twice).
+        and a loop is a cycle on its own.  Each mask holds only its own
+        non-tree edge, so the genus many masks are independent and span,
+        over GF(2), the edge sets meeting each vertex evenly (loops twice).
         """
-        path = self._paths
-        masks = [(1 << i) ^ path[u] ^ path[v] for i, (u, v) in enumerate(self.edges)]
-        return [mask for mask in masks if mask]
+        return [mask for mask, _, _ in self._cycles]
+
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, int, int], ...]:
+        """Per fundamental cycle: (mask, non-tree edge bit, tree path to its first end)."""
+        p = self._paths
+        cycles = [((1 << i) ^ p[u] ^ p[v], 1 << i, p[u]) for i, (u, v) in enumerate(self.edges)]
+        return tuple(c for c in cycles if c[0])
 
     def trinion_triples(self) -> tuple[TrinionTriple, ...]:
         """One sorted triple of incident edge indices per vertex, in walk

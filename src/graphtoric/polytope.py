@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import and_, getitem, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, gf2_echelon, primitive, primitive_direction, scaled, solve
+from .exactmath import QMatrix, UNIQUE, primitive, primitive_direction, scaled, solve
 from .graph_core import TrivalentGraph
 
 
@@ -217,15 +217,14 @@ def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
 def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     """The vertices of the graph polytope ``h = build_hrep(graph)`` (a
     ValueError if the dimensions differ), in closed form: x is a vertex iff
-    S = {e : x_e = 1/2} is in the graph's GF(2) cycle space and the other
-    coordinates are a labelling z that _parity_solutions lists for S (the
-    README proves it).  The scale is 2 if some S is not empty, else 1.
+    S = {e : x_e = 1/2} is in the cycle space and the other coordinates
+    are a labelling z that _parity_solutions reads off the fundamental
+    cycles for S (README).  The scale is 2 if some S is not empty, else 1.
     One transposition of the S and z masks gives each edge's vertex masks
     at x_e = 1/2 and at 1.  Each becomes one integer with a byte per vertex,
     and the edges' bytes scale*x_e interleave so that vertex r is bytes r*n
     to r*n + n.  A row of ``h.rows`` is tight at the OR, over its support's
-    values 2x that make it tight, of the AND of the masks at those values.
-    """
+    values 2x that make it tight, of the AND of the masks at those values."""
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
@@ -264,26 +263,23 @@ def _tight_values(coeffs: tuple[int, ...], b: int) -> tuple[tuple[int, ...], ...
 
 def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
     """The 0/1 labellings z of the edges off the cycle-space element s that
-    make x = z + s/2 a vertex, as edge bitmasks, each once.  They exist iff
-    s has an even number k of cycles: the XOR of the tree paths from vertex
-    0 to one vertex per cycle, s removed, plus the span of the GF(2) echelon
-    of c minus s, c in the cycle basis, which has g-k masks (README)."""
-    node = list(range(graph.n_vertices))
-
-    def find(v: int) -> int:
-        while node[v] != v:
-            v = node[v]
-        return v
-
-    ends = [graph.edges[i] for i in _bits(s)]
-    for u, v in ends:
-        low, high = sorted((find(u), find(v)))
-        node[high] = low
-    cycles = {find(u) for u, _ in ends}
-    if len(cycles) % 2:
-        return []
-    t_join = reduce(xor, (graph._paths[c] for c in cycles), 0) & ~s
-    return _span(t_join, gf2_echelon(c & ~s for c in graph.cycle_basis()).values())
+    make x = z + s/2 a vertex, as edge bitmasks, each once: one pass over
+    the fundamental cycles finds the k cycles of s, a T-join and the g-k
+    generators (README, *The labellings*); odd k gives none."""
+    generators, echelon, closed = [], [], []
+    for c, f, path in graph._cycles:
+        c &= ~s
+        if f & s:
+            # c has no non-tree edge; reducing to 0 closes a cycle of s
+            for low, mask in echelon:
+                if c & low:
+                    c ^= mask
+            if not c:
+                closed.append(path)
+                continue
+            echelon.append((c & -c, c))
+        generators.append(c)
+    return [] if len(closed) % 2 else _span(reduce(xor, closed, 0) & ~s, generators)
 
 
 def _span(base: int, generators: Iterable[int]) -> list[int]:
@@ -397,9 +393,8 @@ def cube_vertex_labellings(graph: TrivalentGraph) -> list[tuple[int, ...]]:
     labelling read as a 0/1 point is a vertex of the polytope lying on
     the unit cube.
     """
-    m = graph.n_edges
     span = _span(0, graph.cycle_basis())
-    return sorted(tuple((mask >> i) & 1 for i in range(m)) for mask in span)
+    return sorted(tuple(mask >> i & 1 for i in range(graph.n_edges)) for mask in span)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ and ray_tuple_vertices, the per-vertex ray route the edge columns
 replaced, is compared field for field up to genus 10.
 """
 
+import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -23,7 +26,7 @@ import pytest
 
 from graphtoric import polytope
 from graphtoric.cli import analyze_graph
-from graphtoric.graph_core import TrivalentGraph, multi_theta
+from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
 from graphtoric.polytope import (
     HPolytope,
@@ -156,6 +159,35 @@ def _component_count(graph, s):
     return count
 
 
+def _cycle_blocks(graph, s):
+    """Per cycle of the cycle-space element s, the sorted positions in
+    ``graph.cycle_basis()`` of the masks whose edge off the spanning tree
+    (the union of the tree paths) lies on that cycle."""
+    paths, _ = _tree_paths(graph.n_vertices, graph.edges)
+    off_tree = ~functools.reduce(operator.or_, paths)
+    owner = {(c & off_tree).bit_length() - 1: i for i, c in enumerate(graph.cycle_basis())}
+    ends = {}
+    for i, (u, v) in enumerate(graph.edges):
+        if s >> i & 1:
+            ends.setdefault(u, []).append((v, i))
+            ends.setdefault(v, []).append((u, i))
+    seen, blocks = set(), []
+    for start in ends:
+        if start in seen:
+            continue
+        block, stack = set(), [start]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                for y, i in ends[x]:
+                    stack.append(y)
+                    if i in owner:
+                        block.add(owner[i])
+        blocks.append(sorted(block))
+    return blocks
+
+
 def test_parity_solutions_match_contracted_graph_walk():
     # every cycle-space element S of multi_theta(2..9) and of 10 random
     # graphs per genus 2..9; S with k cycles has 2^(g-k) labellings when k
@@ -163,6 +195,10 @@ def test_parity_solutions_match_contracted_graph_walk():
     rng = random.Random(2209)
     randoms = [random_trivalent_graph(rng, 2 * g - 2) for g in range(2, 10) for _ in range(10)]
     assert sum(not graph.is_loop_free() for graph in randoms) >= 20
+    # the cases the reduction in fundamental-cycle coordinates decides:
+    # a cycle of S owning two or more basis masks, and cycles whose
+    # basis positions interleave
+    shared = interleaved = 0
     for graph in [multi_theta(g) for g in range(2, 10)] + randoms:
         for s in polytope._span(0, graph.cycle_basis()):
             z = polytope._parity_solutions(graph, s)
@@ -170,6 +206,12 @@ def test_parity_solutions_match_contracted_graph_walk():
             assert len(z) == (0 if k % 2 else 1 << graph.genus - k), (graph, bin(s))
             assert len(set(z)) == len(z)
             assert set(z) == set(contracted_parity_solutions(graph, s)), (graph, bin(s))
+            blocks = _cycle_blocks(graph, s)
+            shared += any(len(block) > 1 for block in blocks)
+            interleaved += any(
+                a[0] < b[-1] and b[0] < a[-1] for a, b in itertools.combinations(blocks, 2)
+            )
+    assert shared >= 1000 and interleaved >= 1000, (shared, interleaved)
 
 
 @pytest.mark.parametrize("seed", HSYSTEM_SEEDS)

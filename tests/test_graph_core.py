@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 import random
 import tracemalloc
 
@@ -129,6 +131,30 @@ class TestCycleBasis:
             assert repr(graph) == (
                 f"TrivalentGraph(n_vertices={graph.n_vertices}, edges={graph.edges!r})"
             )
+
+    def test_each_mask_owns_one_non_tree_edge(self):
+        # the labellings' reduction rests on this: each mask holds exactly
+        # one edge off the spanning tree (the union of the tree paths), no
+        # other mask holds it, and a loop's mask is the loop alone
+        rng = random.Random(2409)
+        randoms = [random_trivalent_graph(rng, 2 * g - 2) for g in range(2, 10) for _ in range(10)]
+        assert sum(not graph.is_loop_free() for graph in randoms) >= 20
+        for graph in [multi_theta(g) for g in range(2, 10)] + randoms:
+            paths, _ = _tree_paths(graph.n_vertices, graph.edges)
+            tree = functools.reduce(operator.or_, paths)
+            assert tree.bit_count() == graph.n_vertices - 1
+            masks = graph.cycle_basis()
+            owned = [mask & ~tree for mask in masks]
+            assert all(f.bit_count() == 1 for f in owned), graph
+            for i, f in enumerate(owned):
+                assert [j for j, mask in enumerate(masks) if mask & f] == [i], graph
+            # the vertex stage reads each mask with its non-tree edge and
+            # the tree path to that edge's first end
+            ends = [graph.edges[f.bit_length() - 1][0] for f in owned]
+            assert graph._cycles == tuple(zip(masks, owned, (paths[u] for u in ends)))
+            for i, (u, v) in enumerate(graph.edges):
+                if u == v:
+                    assert 1 << i in masks, graph
 
     def test_validation_walks_the_graph_once(self, monkeypatch, dumbbell):
         # construction walks the graph; the cycle basis and the stages that
