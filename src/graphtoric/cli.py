@@ -354,8 +354,7 @@ def _cmd_batch(args, parser) -> int:
 def _batch_row(g: int) -> dict:
     report, art = analyze_graph(multi_theta(g))
     origin = art.vpoly.points.index((0,) * art.hrep.dim)
-    facets = sum(1 << i for i in art.facet_rows)
-    origin_facets = (art.vpoly.tight[origin] & facets).bit_count()
+    origin_facets = sum(art.vpoly.row_vertices[i] >> origin & 1 for i in art.facet_rows)
     return {
         "g": g,
         "cube_vertex_count": report.cube_vertex_count,

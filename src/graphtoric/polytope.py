@@ -118,24 +118,28 @@ class VPolytope:
     lexicographic order of the vertices.  ``vertices`` is the rational
     tuple they stand for, built on first use.
 
-    ``tight[i]`` is a row bitmask: bit k is set iff H-row k is tight at
-    vertex i.  ``incidence[i]``, the same rows as an ascending index
-    tuple, is built on first use.  ``dim`` is the affine dimension of the
-    vertex set (-1 when empty).  When the polytope is full-dimensional,
-    the incidence alone decides the facets: row i defines a facet iff it
-    is tight at n or more vertices, no other row is tight at a strict
-    superset of them, and no earlier row is tight at exactly them (a
-    repeated or scaled row names the same facet; see facet_defining_rows).
+    ``row_vertices[k]``, one per H-row, has bit i set iff row k is tight
+    at vertex i; its transposition ``tight`` (vertex i's row mask) and the
+    index tuples ``incidence`` are built on first use.  ``dim`` is the
+    affine dimension (-1 when empty).  When the polytope is
+    full-dimensional, the incidence alone decides the facets: row k is a
+    facet iff it is tight at n or more vertices, no other row is tight at
+    a strict superset of them, and no earlier row is tight at exactly them
+    (a repeated or scaled row names the same facet; facet_defining_rows).
     """
 
     dim: int
     scale: int
     points: tuple[tuple[int, ...], ...]
-    tight: tuple[int, ...]
+    row_vertices: tuple[int, ...]
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(map(self._fraction, p)) for p in self.points)
+
+    @cached_property
+    def tight(self) -> tuple[int, ...]:
+        return tuple(_transpose(self.row_vertices or (0,), len(self.points)))
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -153,28 +157,25 @@ class VPolytope:
 
 
 def _vpolytope_from_rays(h: HPolytope, rays: Sequence[tuple[int, ...]], tight: Sequence[int]) -> VPolytope:
-    """The V-polytope of primitive homogeneous rays (t, t*x) with t > 0,
-    ``tight[r]`` being the mask of the rows of ``h`` tight at ray r.  The
-    scale is the lcm L of all t, which is the lcm of all vertex
-    denominators because each ray is primitive; vertex x is the point L*x.
-    """
+    """The V-polytope of primitive homogeneous rays (t, t*x), t > 0, with
+    ``tight[r]`` the mask of the rows of ``h`` tight at ray r.  The scale L
+    is the lcm of all t, so of all vertex denominators as each ray is
+    primitive; vertex x is the point L*x, its mask transposed into rows."""
+    if not rays:
+        return VPolytope(-1, 1, (), (0,) * len(h.rows))
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
-    return _vpolytope(h, scale, points, tight)
+    points, tight = zip(*sorted(zip(points, tight)))
+    return _vpolytope(h, scale, points, _transpose(tight, len(h.rows)))
 
 
-def _vpolytope(h: HPolytope, scale: int, points: Sequence, tight: Sequence[int]) -> VPolytope:
-    """The V-polytope of the points scale*x with row masks ``tight``, each
-    point a sequence of ints that sorts in tuple order (bytes of one length
-    do), kept sorted as int tuples.  The affine dimension is n minus the
-    rank of the implicit equalities, the rows tight at every vertex."""
-    if not points:
-        return VPolytope(-1, 1, (), ())
-    order = sorted(range(len(points)), key=points.__getitem__)
-    equalities = [h.rows[k].a for k in _bits(reduce(and_, tight))]
-    dim = h.dim - _integer_rank(equalities)
-    points = tuple(map(tuple, map(points.__getitem__, order)))
-    return VPolytope(dim, scale, points, tuple(map(tight.__getitem__, order)))
+def _vpolytope(h: HPolytope, scale: int, points: tuple, row_vertices: Sequence[int]) -> VPolytope:
+    """The V-polytope of the sorted, non-empty points scale*x with vertex
+    masks ``row_vertices``, one per row of ``h``; its dimension is n minus
+    the rank of the implicit equalities, the rows tight at every vertex."""
+    every = (1 << len(points)) - 1
+    equalities = [row.a for row, mask in zip(h.rows, row_vertices) if mask == every]
+    return VPolytope(h.dim - _integer_rank(equalities), scale, points, tuple(row_vertices))
 
 
 def _bits(mask: int) -> list[int]:
@@ -220,27 +221,28 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     S = {e : x_e = 1/2} is in the cycle space and the other coordinates
     are a labelling z that _parity_solutions reads off the fundamental
     cycles for S (README).  The scale is 2 if some S is not empty, else 1.
-    One transposition of the S and z masks gives each edge's vertex masks
-    at x_e = 1/2 and at 1.  Each becomes one integer with a byte per vertex,
-    and the edges' bytes scale*x_e interleave so that vertex r is bytes r*n
-    to r*n + n.  A row of ``h.rows`` is tight at the OR, over its support's
-    values 2x that make it tight, of the AND of the masks at those values."""
+    Vertex x is one integer key whose byte e from the top is scale*x_e, so
+    sorted keys are sorted points.  A row is tight at the OR, over its
+    support's values 2x that make it tight, of the AND of the edges'
+    vertex masks at those values, read off the sorted keys' byte lanes."""
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
-    found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in _parity_solutions(graph, s)]
-    count = len(found)
-    columns = _transpose([s | z << n for s, z in found], 2 * n)
-    scale = 2 if any(columns[:n]) else 1
-    # bit r of a column is its r-th binary digit from the right: read as
-    # big-endian bytes, less the "0" digits, it is 0 or 1 in byte r
-    spec, zeros = f"0{count}b", int.from_bytes(b"0" * count, "big")
-    lanes = [int.from_bytes(format(col, spec).encode(), "big") - zeros for col in columns]
-    buf = bytearray(count * n)
-    for e in range(n):
-        buf[e::n] = (lanes[e] + scale * lanes[n + e]).to_bytes(count, "little")
-    every = (1 << count) - 1
-    at = [(every & ~(a | b), a, b) for a, b in zip(columns[:n], columns[n:])]
+    found = [(s, p) for s in _span(0, graph.cycle_basis()) if (p := _parity_solutions(graph, s))]
+    scale = 2 if any(s for s, _ in found) else 1
+    spec, zeros = f"0{n}b", int.from_bytes(b"0" * n, "big")
+    # bit e of m -> a 1 in byte e of n bytes: m's binary digits, reversed, as bytes
+    spread = lambda m: int.from_bytes(format(m, spec)[::-1].encode(), "big") - zeros
+    keys, z_shift = [], scale - 1  # the byte of edge e holds s_e + scale*z_e
+    for s, (t, gens) in found:
+        keys += _span(spread(s) | spread(t) << z_shift, [spread(c) << z_shift for c in gens])
+    keys.sort()
+    data = b"".join([k.to_bytes(n, "big") for k in keys])
+    # tables[w]: byte v = scale*x_e -> b"1" iff 2x_e = w; at scale 1, w = 1 takes v = 3, never met
+    tables = [b"0" * v + b"1" + b"0" * (255 - v) for v in ((0, 1, 2) if scale == 2 else (0, 3, 1))]
+    lanes = (data[e::n] for e in range(n))
+    at = [tuple(int(lane.translate(t)[::-1], 2) for t in tables) for lane in lanes]
+    every = (1 << len(keys)) - 1
     row_vertices = []
     for row in h.rows:
         cols = [at[e] for e, c in enumerate(row.a) if c]
@@ -248,9 +250,7 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
             reduce(and_, map(getitem, cols, w), every)
             for w in _tight_values(tuple(filter(None, row.a)), row.b)
         ], 0))
-    data = bytes(buf)
-    points = [data[r : r + n] for r in range(0, count * n, n)]
-    return _vpolytope(h, scale, points, _transpose(row_vertices, count))
+    return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices)
 
 
 @lru_cache(maxsize=256)
@@ -261,11 +261,12 @@ def _tight_values(coeffs: tuple[int, ...], b: int) -> tuple[tuple[int, ...], ...
     return tuple(w for w in values if sum(map(mul, coeffs, w)) == 2 * b)
 
 
-def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
+def _parity_solutions(graph: TrivalentGraph, s: int) -> tuple[int, list[int]] | None:
     """The 0/1 labellings z of the edges off the cycle-space element s that
-    make x = z + s/2 a vertex, as edge bitmasks, each once: one pass over
-    the fundamental cycles finds the k cycles of s, a T-join and the g-k
-    generators (README, *The labellings*); odd k gives none."""
+    make x = z + s/2 a vertex, as (t_join, generators), z being t_join XOR
+    a sum of generators: one pass over the fundamental cycles finds the k
+    cycles of s, the T-join and the g-k independent generators (README,
+    *The labellings*), all edge bitmasks; odd k gives None."""
     generators, echelon, closed = [], [], []
     for c, f, path in graph._cycles:
         c &= ~s
@@ -279,7 +280,7 @@ def _parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:
                 continue
             echelon.append((c & -c, c))
         generators.append(c)
-    return [] if len(closed) % 2 else _span(reduce(xor, closed, 0) & ~s, generators)
+    return None if len(closed) % 2 else (reduce(xor, closed, 0) & ~s, generators)
 
 
 def _span(base: int, generators: Iterable[int]) -> list[int]:
@@ -338,16 +339,15 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     is a facet iff it is tight at n or more vertices and no other row is
     tight at a strict superset of those vertices.  Rows tight at the same
     n or more vertices lie on the same facet hyperplane (a repeated or
-    scaled row), so only the first of them is kept.  Only the incidence
-    is read: one transposition of the vertices' ``tight`` masks gives
-    each row's mask of tight vertices.  A mask naming a row at or beyond
-    ``len(h.rows)`` means ``v`` is another system's: ValueError.
+    scaled row), so only the first of them is kept.  Only the row masks
+    ``v.row_vertices`` are read; a count other than ``len(h.rows)``, or a
+    vertex past ``v.points``, means ``v`` is another system's: ValueError.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
-    if max(v.tight) >> len(h.rows):
-        raise ValueError(f"vertex set names rows beyond the system's {len(h.rows)}")
-    masks = _transpose(v.tight, len(h.rows))
+    masks, count = v.row_vertices, len(v.points)
+    if len(masks) != len(h.rows) or max(masks, default=0) >> count:
+        raise ValueError(f"{len(masks)} row masks over {count} vertices for {len(h.rows)} rows")
     return tuple(
         i
         for i, mi in enumerate(masks)
@@ -368,12 +368,13 @@ class SimplicityVerdict:
 
 
 def is_simple(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> SimplicityVerdict:
-    """Whether every vertex lies on exactly n facets, counted as the
-    popcount of its ``tight`` mask restricted to ``facet_rows``, the
-    result of facet_defining_rows(h, v); a repeated index counts once."""
-    facets = sum(1 << k for k in set(facet_rows))
-    for i, tight in enumerate(v.tight):
-        count = (tight & facets).bit_count()
+    """Whether every vertex lies on exactly n of ``facet_rows`` (counted
+    once each), the result of facet_defining_rows(h, v): vertex i's count,
+    bit i of those rows' vertex masks summed, is read up to the first that
+    is not n (for a loop-free graph of genus >= 3, the origin, vertex 0)."""
+    masks = [v.row_vertices[k] for k in set(facet_rows)]
+    for i in range(len(v.points)):
+        count = sum(m >> i & 1 for m in masks)
         if count != h.dim:
             return SimplicityVerdict(False, v.vertex(i), count)
     return SimplicityVerdict(True)

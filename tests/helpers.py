@@ -7,6 +7,7 @@ Gaussian elimination, exhaustive labelling search, GF(2) bit elimination,
 the Fraction, per-ray and normalising routes that vertex enumeration, the
 lattice and the H-representation used before they kept to integers, the
 edge route the smoothness test used before it read the normal fan, the
+per-vertex scan simplicity used before it read the row masks, the
 incidence rebuild the trinion triples came from before validation kept
 them, and the contracted-graph walk the vertex labellings came from
 before they read the graph's own spanning tree) so that agreement is
@@ -156,14 +157,19 @@ def inequality_hrep(graph: TrivalentGraph) -> HPolytope:
 # Vertex enumeration oracles
 # ---------------------------------------------------------------------------
 
-def rational_vpolytope(dim: int, vertices, incidence) -> VPolytope:
+def rational_vpolytope(dim: int, vertices, incidence, n_rows: int) -> VPolytope:
     """A VPolytope holding the given rational vertices, in the given order,
-    scaled by the lcm of their denominators, with each vertex's tight row
-    indices made into its row bitmask."""
+    scaled by the lcm of their denominators, with vertex r's tight row
+    indices ``incidence[r]`` set as bit r of those rows' vertex masks, one
+    mask for each of the system's ``n_rows`` rows."""
     vertices = [[Fraction(x) for x in p] for p in vertices]
     scale = math.lcm(*(x.denominator for p in vertices for x in p))
     points = tuple(tuple(int(x * scale) for x in p) for p in vertices)
-    return VPolytope(dim, scale, points, tuple(sum(1 << i for i in t) for t in incidence))
+    row_vertices = [0] * n_rows
+    for r, rows in enumerate(incidence):
+        for k in rows:
+            row_vertices[k] |= 1 << r
+    return VPolytope(dim, scale, points, tuple(row_vertices))
 
 
 def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
@@ -190,7 +196,7 @@ def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
             if basis.rank == h.dim:
                 break
         dim = basis.rank
-    return rational_vpolytope(dim, verts, incidence)
+    return rational_vpolytope(dim, verts, incidence, len(h.rows))
 
 
 def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
@@ -213,6 +219,18 @@ def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
                 facets.append(i)
                 break
     return tuple(facets)
+
+
+def per_vertex_is_simple(h: HPolytope, v: VPolytope, facet_rows) -> tuple:
+    """Simplicity by the route is_simple took before it read the row
+    masks: each vertex's per-vertex ``tight`` mask ANDed with the facet
+    rows, popcounted.  Returns (simple, witness, witness_facets)."""
+    facets = sum(1 << k for k in set(facet_rows))
+    for i, tight in enumerate(v.tight):
+        count = (tight & facets).bit_count()
+        if count != h.dim:
+            return False, v.vertex(i), count
+    return True, None, None
 
 
 def homogeneous_rows(h: HPolytope) -> list[tuple[int, ...]]:
@@ -317,7 +335,7 @@ def ray_tuple_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     it (empty groups dropped), and OR the groups whose values make the
     row tight."""
     n = h.dim
-    found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in _parity_solutions(graph, s)]
+    found = [(s, z) for s in _span(0, graph.cycle_basis()) for z in parity_labellings(graph, s)]
     rays = [
         (2, *((s >> e & 1) + 2 * (z >> e & 1) for e in range(n))) if s
         else (1, *(z >> e & 1 for e in range(n)))
@@ -345,6 +363,14 @@ def ray_tuple_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
                 mask |= m
         row_rays.append(mask)
     return _vpolytope_from_rays(h, rays, _transpose(row_rays, len(rays)))
+
+
+def parity_labellings(graph: TrivalentGraph, s: int) -> list[int]:
+    """Every labelling z that _parity_solutions describes for the
+    cycle-space element s, its T-join XOR each combination of its
+    generators; none when it returns None."""
+    solutions = _parity_solutions(graph, s)
+    return [] if solutions is None else _span(*solutions)
 
 
 def contracted_parity_solutions(graph: TrivalentGraph, s: int) -> list[int]:

@@ -287,7 +287,7 @@ class TestOracle:
 
         def dropping(graph, h):
             v = real(graph, h)
-            return rational_vpolytope(v.dim, v.vertices[1:], v.incidence[1:])
+            return rational_vpolytope(v.dim, v.vertices[1:], v.incidence[1:], len(h.rows))
 
         monkeypatch.setattr(cli, "enumerate_vertices", dropping)
         assert main(["oracle", "--theta", "2"]) == 3
@@ -301,8 +301,10 @@ class TestOracle:
         def wrong(graph, h):
             v = real(graph, h)
             if field == "dim":
-                return rational_vpolytope(v.dim - 1, v.vertices, v.incidence)
-            return rational_vpolytope(v.dim, v.vertices, (v.incidence[0][1:],) + v.incidence[1:])
+                return rational_vpolytope(v.dim - 1, v.vertices, v.incidence, len(h.rows))
+            return rational_vpolytope(
+                v.dim, v.vertices, (v.incidence[0][1:],) + v.incidence[1:], len(h.rows)
+            )
 
         monkeypatch.setattr(cli, "enumerate_vertices", wrong)
         assert main(["oracle", "--theta", "2"]) == 3
@@ -319,7 +321,10 @@ class TestCubeVertexCheck:
             v = real(graph, h)
             k = next(i for i, p in enumerate(v.vertices) if all(x.denominator == 1 for x in p))
             return rational_vpolytope(
-                v.dim, v.vertices[:k] + v.vertices[k + 1 :], v.incidence[:k] + v.incidence[k + 1 :]
+                v.dim,
+                v.vertices[:k] + v.vertices[k + 1 :],
+                v.incidence[:k] + v.incidence[k + 1 :],
+                len(h.rows),
             )
 
         monkeypatch.setattr(cli, "enumerate_vertices", dropping)
@@ -470,10 +475,12 @@ class TestReportValue:
         assert artifacts.vpoly is not None
 
     def test_analyze_graph_leaves_incidence_unbuilt(self):
-        # the stages read the row bitmasks VPolytope.tight; the index
-        # tuples are built only when a caller reads them
+        # the stages read the rows' vertex masks VPolytope.row_vertices;
+        # the per-vertex masks and the index tuples are built only when a
+        # caller reads them
         _, artifacts = analyze_graph(graphtoric.multi_theta(4))
         assert "incidence" not in artifacts.vpoly.__dict__
+        assert "tight" not in artifacts.vpoly.__dict__
         assert len(artifacts.vpoly.incidence) == len(artifacts.vpoly.tight)
 
     def test_smooth_claim_requires_sub_verdicts(self):

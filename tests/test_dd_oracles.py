@@ -6,15 +6,19 @@ bitmasks.  dd_vertices (tests/helpers.py) is a plain double description
 that enumerates any H-system: it grows the homogenising cone from
 fraction_initial_cone and finds adjacent rays by scan_adjacent_pairs.
 The closed form is compared with it field for field (points, scale,
-tight masks, dimension) on the fixture graphs, multi_theta(2..6) and
+row masks, dimension) on the fixture graphs, multi_theta(2..6) and
 seeded random graphs with loops; both are checked against the Fraction
 routes (fraction_vpolytope, echelon_facet_rows), and the double
 description alone on random cut cubes with redundant rows.  Past the
 oracle's reach, multi_theta(7)'s vertex list is certified row by row,
 and ray_tuple_vertices, the per-vertex ray route the edge columns
-replaced, is compared field for field up to genus 10.
+replaced, is compared field for field up to genus 10.  The rows' vertex
+masks are checked against per-vertex masks transposed by a loop over
+bits, and analyze_graph on singular graphs must run with no
+transposition at all.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphtoric import polytope
+from graphtoric import cli, polytope
 from graphtoric.cli import analyze_graph
 from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
@@ -46,6 +50,7 @@ from helpers import (
     fraction_initial_cone,
     fraction_vpolytope,
     homogeneous_rows,
+    parity_labellings,
     per_bit_row_index,
     random_trivalent_graph,
     ray_tuple_vertices,
@@ -137,6 +142,65 @@ def test_edge_columns_match_ray_tuples():
         assert enumerate_vertices(graph, h) == ray_tuple_vertices(graph, h), graph
 
 
+def _layout_graphs():
+    """The fixtures, multi_theta(2..8) and 30 seeded random graphs of
+    genus 2-7, at least 8 of them with loops."""
+    rng = random.Random(2501)
+    randoms = [random_trivalent_graph(rng, 2 * rng.randint(2, 7) - 2) for _ in range(30)]
+    assert sum(not graph.is_loop_free() for graph in randoms) >= 8
+    return list(GRAPHS.values()) + [multi_theta(g) for g in range(2, 9)] + randoms
+
+
+def test_row_layout_matches_per_vertex_oracles():
+    # row k's vertex mask is the transposition, by a loop over bits, of
+    # the per-vertex row masks: of those evaluated row by row at each
+    # point, and of the double description's (up to genus 5) and the ray
+    # tuples'; the lazy tight and incidence are those per-vertex masks
+    checked_dd = 0
+    for graph in _layout_graphs():
+        h = build_hrep(graph)
+        v = enumerate_vertices(graph, h)
+        width, scale = len(h.rows), v.scale
+        evaluated = tuple(
+            sum(1 << k for k, row in enumerate(h.rows) if polytope._idot(row.a, p) == scale * row.b)
+            for p in v.points
+        )
+        assert v.row_vertices == tuple(per_bit_row_index(evaluated, width)), graph
+        oracles = [ray_tuple_vertices(graph, h)]
+        if graph.genus <= 5:
+            oracles.append(dd_vertices(h))
+            checked_dd += 1
+        for oracle in oracles:
+            assert oracle.points == v.points
+            assert v.row_vertices == tuple(per_bit_row_index(oracle.tight, width)), graph
+            assert v.tight == oracle.tight == evaluated
+            assert v.incidence == oracle.incidence
+        assert v.incidence == tuple(tuple(polytope._bits(m)) for m in evaluated)
+    assert checked_dd >= 20
+
+
+def test_sorted_keys_decode_to_sorted_points():
+    # the key-order lemma: byte e of a vertex's key, from the most
+    # significant end, is scale*x_e < 256, so the sorted keys decode to
+    # the points in tuple order; here each key is built coordinate by
+    # coordinate from the labellings, not by the vertex stage's spread
+    for graph in _layout_graphs():
+        n = graph.n_edges
+        found = [
+            (s, z)
+            for s in polytope._span(0, graph.cycle_basis())
+            for z in parity_labellings(graph, s)
+        ]
+        scale = 2 if any(s for s, _ in found) else 1
+        points = [
+            tuple((s >> e & 1) + scale * (z >> e & 1) for e in range(n)) for s, z in found
+        ]
+        keys = [sum(c << 8 * (n - 1 - e) for e, c in enumerate(p)) for p in points]
+        decoded = [tuple(k.to_bytes(n, "big")) for k in sorted(keys)]
+        assert decoded == sorted(points)
+        assert tuple(decoded) == enumerate_vertices(graph, build_hrep(graph)).points, graph
+
+
 def _component_count(graph, s):
     """The connected components of the edge set s, by a depth-first search
     over the graph vertices its edges touch."""
@@ -201,7 +265,7 @@ def test_parity_solutions_match_contracted_graph_walk():
     shared = interleaved = 0
     for graph in [multi_theta(g) for g in range(2, 10)] + randoms:
         for s in polytope._span(0, graph.cycle_basis()):
-            z = polytope._parity_solutions(graph, s)
+            z = parity_labellings(graph, s)
             k = _component_count(graph, s)
             assert len(z) == (0 if k % 2 else 1 << graph.genus - k), (graph, bin(s))
             assert len(set(z)) == len(z)
@@ -287,6 +351,36 @@ def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
     report, art = analyze_graph(graph)
     assert report.overall == overall
     assert (art.verdict.lattice_offender is None) == art.verdict.smooth == (overall == SMOOTH)
+
+
+LOOPED_GENUS3 = TrivalentGraph(4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [multi_theta(g) for g in range(3, 7)] + [LOOPED_GENUS3],
+    ids=[f"theta{g}" for g in range(3, 7)] + ["looped-g3"],
+)
+def test_analyze_transposes_no_incidence(graph, monkeypatch):
+    # for a graph of genus 3 or more whose origin is not simple, every
+    # stage reads the row layout the vertex stage builds: the per-vertex
+    # masks are never needed, so no transposition runs at all
+    def drop_elapsed(report):
+        return dataclasses.replace(report, elapsed_ms=0)
+
+    expected = drop_elapsed(analyze_graph(graph)[0])
+    batch = cli._batch_row(graph.genus) if graph.is_loop_free() else None
+
+    def untransposed(masks, width):
+        raise AssertionError("analyze_graph transposed the incidence")
+
+    monkeypatch.setattr(polytope, "_transpose", untransposed)
+    report, art = analyze_graph(graph)
+    assert drop_elapsed(report) == expected
+    assert not report.simple and art.verdict.simple_witness == (0,) * graph.n_edges
+    assert "tight" not in art.vpoly.__dict__
+    if batch is not None:
+        assert cli._batch_row(graph.genus) == batch
 
 
 def _transposition_case(name):

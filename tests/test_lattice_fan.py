@@ -194,7 +194,7 @@ class TestLatticeOracles:
             rng.shuffle(points)
             if graph.n_vertices <= 4:
                 points += enumerate_vertices(graph, build_hrep(graph)).vertices
-            v = rational_vpolytope(n, points, ((),) * len(points))
+            v = rational_vpolytope(n, points, ((),) * len(points), 0)
             bad = next((p for p in points if not inverse_lattice_member(p, L)), None)
             assert is_lattice_polytope(v, L) == (bad is None, bad)
             offenders += bad is not None

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from helpers import (
     exhaustive_labellings,
     gauss_rank,
     inequality_hrep,
+    per_vertex_is_simple,
     random_hsystem,
     random_trivalent_graph,
     ray_tuple_vertices,
@@ -137,7 +139,10 @@ class TestEnumerateVertices:
         # of a column is 0 or 1
         h = build_hrep(theta2)
         v = enumerate_vertices(theta2, h)
+        # each vertex is tight on the three rows of the faces through it;
+        # the tetrahedron's symmetry makes the two layouts the same masks
         assert v == VPolytope(3, 1, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), (14, 13, 11, 7))
+        assert v.tight == (14, 13, 11, 7)
         assert v == ray_tuple_vertices(theta2, h)
 
     def test_dumbbell_lanes_meet_loop_rows(self, dumbbell):
@@ -147,7 +152,9 @@ class TestEnumerateVertices:
         assert {2, -2} <= {c for row in h.rows for c in row.a}
         v = enumerate_vertices(dumbbell, h)
         points = ((0, 0, 0), (0, 0, 2), (1, 2, 1), (2, 0, 0), (2, 0, 2))
-        assert v == VPolytope(3, 2, points, (22, 14, 29, 19, 11))
+        # row k's vertex mask; the per-vertex row masks are its transposition
+        assert v == VPolytope(3, 2, points, (28, 27, 7, 22, 13))
+        assert v.tight == (22, 14, 29, 19, 11)
         assert v == ray_tuple_vertices(dumbbell, h)
 
     @pytest.mark.parametrize("graph", ["theta2", "dumbbell", "theta4"])
@@ -265,6 +272,51 @@ class TestFacetsAndSimplicity:
         h = build_hrep(graph)
         with pytest.raises(ValueError):
             facet_defining_rows(HPolytope(3, h.rows[:-1]), enumerate_vertices(graph, h))
+
+    def test_extra_row_mask_is_refused(self):
+        # one vertex mask more than the system has rows
+        graph = multi_theta(2)
+        h = build_hrep(graph)
+        v = enumerate_vertices(graph, h)
+        extra = dataclasses.replace(v, row_vertices=v.row_vertices + (0,))
+        with pytest.raises(ValueError, match="5 row masks over 4 vertices for 4 rows"):
+            facet_defining_rows(h, extra)
+
+    def test_mask_naming_a_missing_vertex_is_refused(self):
+        # the last point dropped, its bits left in the row masks
+        graph = multi_theta(2)
+        h = build_hrep(graph)
+        v = enumerate_vertices(graph, h)
+        short = dataclasses.replace(v, points=v.points[:-1])
+        with pytest.raises(ValueError, match="4 row masks over 3 vertices for 4 rows"):
+            facet_defining_rows(h, short)
+
+    def test_simplicity_matches_per_vertex_scan(self, theta2, theta3, dumbbell):
+        # the walk over the row masks against the per-vertex scan it
+        # replaced: verdict, witness and facet count, on the hand-built
+        # simple polytopes of this class, theta-2, random genus-2 graphs
+        # (theta-2 with its edges in random orders, SMOOTH, and the
+        # dumbbell), and theta-3
+        square = HPolytope.from_inequalities(
+            2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+        )
+        systems = [unit_cube(3), square, build_hrep(theta2)]
+        systems += [HPolytope(2, square.rows + (row,)) for row in (Row((1, 0), 1), Row((2, 0), 2))]
+        cases = [(h, dd_vertices(h)) for h in systems]
+        rng = random.Random(31)
+        randoms = [random_trivalent_graph(rng, 2) for _ in range(12)]
+        graphs = [theta2, theta3, dumbbell] + randoms
+        cases += [(h, enumerate_vertices(g, h)) for g in graphs for h in [build_hrep(g)]]
+        simple = []
+        for h, v in cases:
+            facets = facet_defining_rows(h, v)
+            verdict = is_simple(h, v, facets)
+            got = (verdict.simple, verdict.witness, verdict.witness_facets)
+            assert got == per_vertex_is_simple(h, v, facets)
+            simple.append(verdict.simple)
+        assert all(simple[: len(systems) + 1]) and not any(simple[len(systems) + 1 : -12])
+        # the random graphs hold SMOOTH thetas and non-simple dumbbells
+        assert 3 <= sum(simple[-12:]) <= 9
 
     def test_requires_full_dimension(self):
         h = HPolytope.from_inequalities(
