@@ -8,7 +8,7 @@ computes all three exactly over the rationals and decides whether the
 associated toric variety is smooth.
 """
 
-from .exactmath import QMatrix, det, hnf, inverse, primitive, primitive_direction, solve
+from .exactmath import QMatrix, det, hnf, inverse, primitive, primitive_direction
 from .graph_core import (
     DegreeViolation,
     Disconnected,
@@ -95,6 +95,5 @@ __all__ = [
     "primitive",
     "primitive_direction",
     "serialize_graph",
-    "solve",
     "validate",
 ]

@@ -57,10 +57,10 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 
-# brute_force_vertices solves one system per n-row subset, exponential in
-# the row count; past this ambient dimension (genus 3) the cross-check is
-# refused rather than left to crawl: genus 3 has 8,008 subsets, genus 4
-# already C(24, 9) = 1,307,504.
+# brute_force_vertices takes up to n+1 integer determinants per n-row
+# subset, exponential in the row count; past this ambient dimension (genus
+# 3) the cross-check is refused rather than left to crawl: genus 3 has 8,008
+# subsets, genus 4 already C(24, 9) = 1,307,504.
 ORACLE_DIM_LIMIT = 6
 
 

@@ -4,24 +4,19 @@ Everything runs on fractions.Fraction and Python integers, so results are
 bit-for-bit reproducible across platforms; floating point input is
 rejected outright.  A rational vector becomes integers in one place,
 scaled, which multiplies it by the lcm of its denominators.  det scales
-each row so and runs fraction-free (Bareiss) elimination.  solve and
-inverse share one rational Gauss-Jordan elimination, on m | b and m | I,
-with deterministic pivoting (first nonzero entry, smallest row index).
-hnf returns a row-style Hermite normal form together with its unimodular
-transform, both read off the reduced rows of m | I.  Over GF(2), vectors
-are bitmasks, and gf2_echelon gives a span's reduced echelon basis.
+each row so and runs fraction-free (Bareiss) elimination.  inverse is a
+rational Gauss-Jordan elimination of m | I, with deterministic pivoting
+(first nonzero entry, smallest row index).  hnf returns a row-style
+Hermite normal form together with its unimodular transform, both read
+off the reduced rows of m | I.  Over GF(2), vectors are bitmasks, and
+gf2_echelon gives a span's reduced echelon basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-UNIQUE = "unique"
-INCONSISTENT = "inconsistent"
-UNDERDETERMINED = "underdetermined"
 
 
 def exact(x) -> Fraction:
@@ -122,59 +117,23 @@ def integer_det(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    """Classification of a linear system: unique, inconsistent, or
-    underdetermined; ``solution`` is set only in the unique case."""
-
-    status: str
-    solution: tuple[Fraction, ...] | None = None
-
-
-def _gauss_jordan(aug: list[list[Fraction]], width: int) -> list[int]:
-    """Reduce the rows of aug in place over their first ``width`` columns,
-    carrying the columns after them along, and return the pivot columns:
-    pivot i ends as a 1 in row i, alone in its column.  The pivot is the
-    first nonzero entry, smallest row index."""
-    pivots: list[int] = []
-    for c in range(width):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pval = aug[r][c]
-        aug[r] = [x / pval for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    return pivots
-
-
-def solve(m: QMatrix, b: Sequence) -> SolveResult:
-    """Classify m*x = b exactly and return the solution when unique."""
-    rhs = [exact(x) for x in b]
-    if len(rhs) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = [[*row, val] for row, val in zip(m.rows, rhs)]
-    pivots = _gauss_jordan(aug, m.ncols)
-    if any(row[-1] for row in aug[len(pivots):]):
-        return SolveResult(INCONSISTENT)
-    if len(pivots) < m.ncols:
-        return SolveResult(UNDERDETERMINED)
-    return SolveResult(UNIQUE, tuple(row[-1] for row in aug[:m.ncols]))
-
-
 def inverse(m: QMatrix) -> QMatrix:
     """Exact inverse by Gauss-Jordan elimination of m | I."""
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.nrows
     aug = [[*row, *e] for row, e in zip(m.rows, QMatrix.identity(n).rows)]
-    if len(_gauss_jordan(aug, n)) < n:
-        raise ValueError("matrix is singular")
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pval = aug[c][c]
+        aug[c] = [x / pval for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return QMatrix([row[n:] for row in aug])
 
 

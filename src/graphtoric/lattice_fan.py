@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import (QMatrix, det, exact, gf2_echelon, hnf, integer_det, primitive,
-                        primitive_direction, scaled)
+from .exactmath import QMatrix, det, gf2_echelon, integer_det, primitive, primitive_direction, scaled
 from .graph_core import TrivalentGraph
 from .polytope import HPolytope, VPolytope, _bits, is_simple
 
@@ -44,8 +43,7 @@ class ConsistencyError(Exception):
 class Lattice:
     """A full-rank lattice in Q^n with an upper-triangular basis, kept in
     integers: ``rows`` are the rows of ``scale`` times the basis, one basis
-    vector per row, zero left of a nonzero diagonal.  ``basis`` is the
-    rational matrix they stand for, built on first use.
+    vector per row, zero left of a nonzero diagonal.
     """
 
     dim: int
@@ -58,25 +56,6 @@ class Lattice:
             for i, row in enumerate(self.rows)
         ):
             raise ValueError("basis must be square, upper-triangular, with a nonzero diagonal")
-
-    @classmethod
-    def from_generators(cls, generators: Sequence[Sequence]) -> "Lattice":
-        gens = tuple(tuple(exact(x) for x in g) for g in generators)
-        if not gens:
-            raise ValueError("no generators")
-        n = len(gens[0])
-        if any(len(g) != n for g in gens):
-            raise ValueError("generators of mixed length")
-        scale = lcm(*(x.denominator for g in gens for x in g))
-        h, _ = hnf(QMatrix([[x * scale for x in g] for g in gens]))
-        rows = [r for r in h.rows if any(r)]
-        if len(rows) != n:
-            raise ValueError(f"generators span rank {len(rows)} < {n}")
-        return cls(n, scale, tuple(tuple(x.numerator for x in r) for r in rows))
-
-    @cached_property
-    def basis(self) -> QMatrix:
-        return QMatrix([[Fraction(x, self.scale) for x in row] for row in self.rows])
 
     @cached_property
     def covolume(self) -> Fraction:

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import and_, getitem, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import QMatrix, UNIQUE, primitive, primitive_direction, scaled, solve
+from .exactmath import integer_det, primitive, scaled
 from .graph_core import TrivalentGraph
 
 
@@ -307,25 +307,31 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
 
 
 def brute_force_vertices(h: HPolytope) -> VPolytope:
-    """Independent enumeration oracle: solve every n-subset of tight rows.
+    """Independent enumeration oracle: Cramer's rule, in integers, on
+    every n-subset of rows.
 
-    A candidate survives if its tight system has a unique solution that
-    satisfies all rows.  Exponential in the row count; intended for
-    dimensions up to about 6.  Each solution becomes the primitive
-    homogeneous ray (t, t*x) and goes through the same builder as the
-    closed form's rays.
+    A subset A.x = b with D = det A nonzero meets in the point whose
+    homogeneous ray is (D, D_1, ..., D_n), D_j the determinant of A with
+    column j replaced by b (integer_det).  Made primitive with a positive
+    first entry, the ray (t, t*x) survives if it satisfies every row, and
+    goes through the same builder as the closed form's rays.  Exponential
+    in the row count; intended for dimensions up to about 6.
     """
-    found = set()
+    found = {}  # ray -> the mask of its tight rows
     for subset in itertools.combinations(h.rows, h.dim):
-        result = solve(QMatrix([row.a for row in subset]), [row.b for row in subset])
-        if result.status == UNIQUE and contains(h, result.solution):
-            found.add(primitive_direction((1,) + result.solution))
-    rays = list(found)
-    tight = [
-        sum(1 << k for k, row in enumerate(h.rows) if _idot(row.a, ray[1:]) == row.b * ray[0])
-        for ray in rays
-    ]
-    return _vpolytope_from_rays(h, rays, tight)
+        d = integer_det([list(row.a) for row in subset])
+        if not d:
+            continue
+        ray = primitive([d] + [
+            integer_det([[*row.a[:j], row.b, *row.a[j + 1:]] for row in subset])
+            for j in range(h.dim)
+        ])
+        if d < 0:
+            ray = tuple(-c for c in ray)
+        slack = [row.b * ray[0] - _idot(row.a, ray[1:]) for row in h.rows]
+        if min(slack) >= 0:
+            found[ray] = sum(1 << k for k, s in enumerate(slack) if not s)
+    return _vpolytope_from_rays(h, list(found), list(found.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ import math
 import random
 from fractions import Fraction
 
-from graphtoric.exactmath import EchelonBasis, QMatrix, inverse, primitive, primitive_direction
+from graphtoric.exactmath import (EchelonBasis, QMatrix, exact, hnf, inverse, primitive,
+                                  primitive_direction)
 from graphtoric.graph_core import GraphError, TrinionTriple, TrivalentGraph
-from graphtoric.lattice_fan import SINGULAR, SMOOTH
+from graphtoric.lattice_fan import SINGULAR, SMOOTH, Lattice
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
@@ -326,6 +327,23 @@ def fraction_initial_cone(rows, d):
     return initial, [primitive_direction(col) for col in zip(*binv.rows)]
 
 
+def fraction_brute_force_vertices(h: HPolytope) -> VPolytope:
+    """Brute force by the route brute_force_vertices took before Cramer's
+    rule: gauss_solve on every n-subset of rows, and each unique solution
+    x that satisfies every row, checked in Fractions, becomes the
+    primitive homogeneous ray (t, t*x) with its tight rows, also read in
+    Fractions."""
+    found = {}
+    for subset in itertools.combinations(h.rows, h.dim):
+        status, x = gauss_solve([row.a for row in subset], [row.b for row in subset])
+        if status != "unique":
+            continue
+        values = [sum(c * v for c, v in zip(row.a, x)) - row.b for row in h.rows]
+        if max(values) <= 0:
+            found[primitive_direction((1,) + x)] = sum(1 << k for k, d in enumerate(values) if not d)
+    return _vpolytope_from_rays(h, list(found), list(found.values()))
+
+
 def ray_tuple_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     """The graph polytope's vertices by the route enumerate_vertices took
     before it built them one edge column at a time: per vertex, the
@@ -435,11 +453,35 @@ def graph_lattice_generators(graph: TrivalentGraph):
     return generators
 
 
+def hermite_lattice(generators) -> Lattice:
+    """The lattice of rational generators of full rank by its row-style
+    Hermite basis: hnf of the generators scaled by the lcm of their
+    denominators, zero rows dropped.  ValueError for no generators, mixed
+    lengths or a rank below n; floats are refused."""
+    gens = tuple(tuple(exact(x) for x in g) for g in generators)
+    if not gens:
+        raise ValueError("no generators")
+    n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise ValueError("generators of mixed length")
+    scale = math.lcm(*(x.denominator for g in gens for x in g))
+    h, _ = hnf(QMatrix([[x * scale for x in g] for g in gens]))
+    rows = [r for r in h.rows if any(r)]
+    if len(rows) != n:
+        raise ValueError(f"generators span rank {len(rows)} < {n}")
+    return Lattice(n, scale, tuple(tuple(x.numerator for x in r) for r in rows))
+
+
+def lattice_basis(lattice: Lattice) -> QMatrix:
+    """The rational basis a Lattice stands for: its rows over its scale."""
+    return QMatrix([[Fraction(x, lattice.scale) for x in row] for row in lattice.rows])
+
+
 def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
     """Smoothness by the edge route delzant_check took before it read the
     normal fan: at each vertex of a simple polytope the neighbours sharing
     n-1 tight facet rows give the n edges, each edge is paired with the
-    basis (``basis.apply``) and made primitive, and the vertex passes iff
+    basis (lattice_basis) and made primitive, and the vertex passes iff
     the cofactor determinant of those rows is +-1.
 
     Returns (simple, smooth, smooth_witness, smooth_witness_det, overall).
@@ -448,12 +490,13 @@ def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
     facets = frozenset(facet_defining_rows(h, v))
     tight = [frozenset(t) & facets for t in v.incidence]
     simple = all(len(t) == n for t in tight)
+    basis = lattice_basis(lattice)
     witness = witness_det = None
     for i, p in enumerate(v.vertices if simple else ()):
         neighbours = [j for j, t in enumerate(tight) if len(tight[i] & t) == n - 1]
         assert len(neighbours) == n, (p, neighbours)
         rows = [
-            primitive_direction(lattice.basis.apply([a - b for a, b in zip(v.vertices[j], p)]))
+            primitive_direction(basis.apply([a - b for a, b in zip(v.vertices[j], p)]))
             for j in neighbours
         ]
         d = cofactor_det(rows)
@@ -466,7 +509,7 @@ def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
 
 def inverse_lattice_member(x, lattice) -> bool:
     """Membership by the coordinates inverse(basis)^T x, all integral."""
-    coordinates = inverse(lattice.basis).transpose().apply(x)
+    coordinates = inverse(lattice_basis(lattice)).transpose().apply(x)
     return all(c.denominator == 1 for c in coordinates)
 
 

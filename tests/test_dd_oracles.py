@@ -46,6 +46,7 @@ from helpers import (
     contracted_parity_solutions,
     dd_vertices,
     echelon_facet_rows,
+    fraction_brute_force_vertices,
     fraction_calls,
     fraction_initial_cone,
     fraction_vpolytope,
@@ -284,6 +285,7 @@ def test_redundant_cut_cubes_match_oracles(seed):
     v = dd_vertices(h)
     _check_against_oracles(h, v)
     assert brute_force_vertices(h) == v
+    assert fraction_brute_force_vertices(h) == v
 
 
 def test_many_row_system_matches_oracles():
@@ -333,6 +335,12 @@ def test_hrep_and_vertex_stage_build_no_fraction():
     # skip mode builds its few Fractions (the covolume) whatever the genus
     small, large = multi_theta(3), multi_theta(12)
     assert fraction_calls(analyze_graph, large, True) == fraction_calls(analyze_graph, small, True)
+
+
+def test_brute_force_builds_no_fraction():
+    # Cramer's rule over integer determinants, where a Gauss-Jordan solve
+    # made Fractions for every row subset
+    assert fraction_calls(brute_force_vertices, build_hrep(multi_theta(3))) == 0
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphtoric.exactmath import (
-    INCONSISTENT,
-    UNDERDETERMINED,
-    UNIQUE,
     EchelonBasis,
     QMatrix,
     det,
@@ -17,13 +14,12 @@ from graphtoric.exactmath import (
     inverse,
     primitive,
     primitive_direction,
-    solve,
 )
 from graphtoric.cli import AnalysisReport, analyze_graph
 from graphtoric.graph_core import multi_theta
 from graphtoric.lattice_fan import Lattice, is_lattice_point
 from graphtoric.polytope import HPolytope, contains
-from helpers import cofactor_det, gauss_rank, gauss_solve, gf2_rank
+from helpers import cofactor_det, gauss_rank, gf2_rank
 
 F = Fraction
 
@@ -58,16 +54,13 @@ class TestQMatrix:
         lambda: is_lattice_point((0.5, 0), Lattice(2, 1, ((1, 0), (0, 1)))),
         lambda: HPolytope.from_inequalities(3, [((0.5, 0, 0), 1)]),
         lambda: contains(HPolytope.from_inequalities(3, [((1, 0, 0), 1)]), (0.1, 0, 0)),
-        lambda: Lattice.from_generators([(0.1, 0), (0, 1)]),
         lambda: AnalysisReport.from_json(
             analyze_graph(multi_theta(2))[0].to_json().replace('"1/2"', "0.5")
         ),
         lambda: primitive_direction((0.5, 1)),
-        lambda: solve(QMatrix([[1]]), (0.5,)),
     ],
     ids=[
-        "is_lattice_point", "from_inequalities", "contains", "from_generators", "from_json",
-        "primitive_direction", "solve",
+        "is_lattice_point", "from_inequalities", "contains", "from_json", "primitive_direction",
     ],
 )
 def test_entry_points_reject_floats(call):
@@ -87,23 +80,6 @@ class TestDeterminant:
         m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
         swapped = [m[1], m[0], m[2]]
         assert det(mat(m)) == -det(mat(swapped))
-
-
-class TestSolve:
-    def test_unique(self):
-        r = solve(mat([[2, 0], [0, 4]]), (2, 2))
-        assert r.status == UNIQUE
-        assert r.solution == (F(1), F(1, 2))
-
-    def test_inconsistent(self):
-        assert solve(mat([[1, 1], [1, 1]]), (0, 1)).status == INCONSISTENT
-
-    def test_underdetermined(self):
-        assert solve(mat([[1, 1], [2, 2]]), (1, 2)).status == UNDERDETERMINED
-
-    def test_rectangular_overdetermined(self):
-        r = solve(mat([[1, 0], [0, 1], [1, 1]]), (2, 3, 5))
-        assert r.status == UNIQUE and r.solution == (F(2), F(3))
 
 
 class TestInverse:
@@ -232,17 +208,6 @@ def test_det_matches_cofactor_oracle(rows):
 @given(square_matrices())
 def test_integer_det_matches_cofactor_oracle(rows):
     assert integer_det([row[:] for row in rows]) == cofactor_det(rows)
-
-
-@settings(deadline=None)
-@given(rect_matrices(), st.data())
-def test_solve_matches_gauss_oracle(rows, data):
-    rhs = [data.draw(int_entries) for _ in rows]
-    ours = solve(mat(rows), rhs)
-    status, x = gauss_solve(rows, rhs)
-    assert ours.status == status
-    if status == UNIQUE:
-        assert ours.solution == x
 
 
 @settings(deadline=None)

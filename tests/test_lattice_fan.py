@@ -27,7 +27,9 @@ from helpers import (
     gauss_rank,
     gf2_rank,
     graph_lattice_generators,
+    hermite_lattice,
     inverse_lattice_member,
+    lattice_basis,
     random_hsystem,
     random_trivalent_graph,
     rational_vpolytope,
@@ -52,18 +54,18 @@ def unit_cube_h(n):
 
 class TestLattice:
     def test_standard_lattice(self):
-        L = Lattice.from_generators([(1, 0), (0, 1)])
+        L = hermite_lattice([(1, 0), (0, 1)])
         assert L.covolume == 1
         assert is_lattice_point((3, -2), L)
         assert not is_lattice_point((F(1, 2), 0), L)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
-            Lattice.from_generators([(1, 1), (2, 2)])
+            hermite_lattice([(1, 1), (2, 2)])
 
     def test_mixed_length_rejected(self):
         with pytest.raises(ValueError):
-            Lattice.from_generators([(1, 0), (1,)])
+            hermite_lattice([(1, 0), (1,)])
 
     def test_genus_two_covolume_and_membership(self, theta2):
         L = build_lattice(theta2)
@@ -82,7 +84,7 @@ class TestLattice:
     def test_contained_in_half_integer_lattice(self, theta4, dumbbell):
         for graph in (theta4, dumbbell):
             L = build_lattice(graph)
-            for row in L.basis.rows:
+            for row in lattice_basis(L).rows:
                 assert all(x.denominator in (1, 2) for x in row)
 
     def test_covolume_is_a_power_of_two(self):
@@ -111,7 +113,7 @@ class TestLattice:
         probes = [tuple(F(rng.randint(0, 4), 2) for _ in range(6)) for _ in range(20)]
         for _ in range(10):
             rng.shuffle(gens)
-            other = Lattice.from_generators(gens)
+            other = hermite_lattice(gens)
             assert other.covolume == L.covolume
             for p in probes:
                 assert is_lattice_point(p, other) == is_lattice_point(p, L)
@@ -140,9 +142,9 @@ class TestLatticeOracles:
         assert sum(not g.is_loop_free() for g in graphs) >= 100
         for graph in graphs:
             L = build_lattice(graph)
-            hermite = Lattice.from_generators(graph_lattice_generators(graph))
-            assert Lattice.from_generators(L.basis.rows).basis == hermite.basis
-            assert L.basis == hermite.basis
+            hermite = hermite_lattice(graph_lattice_generators(graph))
+            assert lattice_basis(hermite_lattice(lattice_basis(L).rows)) == lattice_basis(hermite)
+            assert lattice_basis(L) == lattice_basis(hermite)
             assert L == hermite  # the same scale and integer rows
             assert L.covolume == F(1, 2 ** (graph.n_vertices - 1))
 
@@ -168,7 +170,7 @@ class TestLatticeOracles:
             n = rng.randint(1, 5)
             gens = [_random_point(rng, n, (1, 2, 3, 4)) for _ in range(n + 1)]
             try:
-                L = Lattice.from_generators(gens)
+                L = hermite_lattice(gens)
             except ValueError:
                 continue
             lattices += 1
@@ -226,7 +228,7 @@ class TestLatticePolytope:
         assert is_lattice_polytope(b.vpoly, b.lattice).ok
 
     def test_integral_vertices_against_standard_lattice(self, bundles):
-        Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        Z3 = hermite_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert is_lattice_polytope(bundles["theta2"].vpoly, Z3).ok
 
     def test_dumbbell_offender(self, bundles):
@@ -240,7 +242,7 @@ class TestLatticePolytope:
             2, [((2, 0), 1), ((-1, 0), 0), ((0, 2), 1), ((0, -1), 0)]
         )
         v = dd_vertices(h)
-        Z2 = Lattice.from_generators([(1, 0), (0, 1)])
+        Z2 = hermite_lattice([(1, 0), (0, 1)])
         verdict = is_lattice_polytope(v, Z2)
         assert not verdict.ok
         assert verdict.offending == (F(0), F(1, 2))
@@ -326,7 +328,7 @@ class TestDelzantCheck:
             3, [((1, 1, 1), 1), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)]
         )
         v = dd_vertices(h)
-        Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        Z3 = hermite_lattice([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert delzant_check(h, v, Z3, facet_defining_rows(h, v)).overall == SMOOTH
 
     @pytest.mark.parametrize("name", ["theta3", "theta4", "k4", "dumbbell"])
@@ -349,7 +351,7 @@ class TestDelzantCheck:
             2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 2)]
         )
         v = dd_vertices(h)
-        Z2 = Lattice.from_generators([(1, 0), (0, 1)])
+        Z2 = hermite_lattice([(1, 0), (0, 1)])
         verdict = delzant_check(h, v, Z2, facet_defining_rows(h, v))
         assert verdict.simple
         assert verdict.overall == SINGULAR

@@ -26,6 +26,7 @@ from helpers import (
     UnboundedPolytope,
     dd_vertices,
     exhaustive_labellings,
+    fraction_brute_force_vertices,
     gauss_rank,
     inequality_hrep,
     per_vertex_is_simple,
@@ -205,17 +206,46 @@ class TestBruteForceOracle:
     def test_agrees_on_graph_polytopes(self, name, request):
         graph = request.getfixturevalue(name)
         h = build_hrep(graph)
-        assert enumerate_vertices(graph, h) == brute_force_vertices(h)
+        v = brute_force_vertices(h)
+        assert enumerate_vertices(graph, h) == v
+        assert fraction_brute_force_vertices(h) == v
 
     def test_agrees_on_cube(self):
         h = unit_cube(3)
-        assert dd_vertices(h).vertices == brute_force_vertices(h).vertices
+        v = brute_force_vertices(h)
+        assert dd_vertices(h).vertices == v.vertices
+        assert fraction_brute_force_vertices(h) == v
 
     def test_agrees_on_random_systems(self):
         rng = random.Random(7)
         for _ in range(5):
             h = random_hsystem(rng, rng.randint(2, 3))
-            assert dd_vertices(h).vertices == brute_force_vertices(h).vertices
+            v = brute_force_vertices(h)
+            assert dd_vertices(h).vertices == v.vertices
+            assert fraction_brute_force_vertices(h) == v
+
+    @pytest.mark.parametrize(
+        "h, count, dim",
+        [
+            # the unit square with a 0 <= -1 marker row: infeasible
+            (HPolytope.from_inequalities(2, [((0, 0), -1), *unit_cube(2).rows]), 0, -1),
+            (HPolytope(3, ()), 0, -1),
+            # the diagonal x = y of the unit square, and the standard
+            # triangle x + y + z = 1 in its positive octant
+            (HPolytope.from_inequalities(2, [((1, -1), 0), ((-1, 1), 0), *unit_cube(2).rows]), 2, 1),
+            (HPolytope.from_inequalities(
+                3, [((1, 1, 1), 1), ((-1, -1, -1), -1), ((-1, 0, 0), 0), ((0, -1, 0), 0),
+                    ((0, 0, -1), 0)]), 3, 2),
+            # rational rows: the triangle x/2 + y/3 <= 1 in the positive quadrant
+            (HPolytope.from_inequalities(2, [((F(1, 2), F(1, 3)), 1), ((-1, 0), 0), ((0, -1), 0)]),
+             3, 2),
+        ],
+        ids=["infeasible-marker", "empty", "segment", "triangle-in-3d", "rational-rows"],
+    )
+    def test_agrees_on_edge_cases(self, h, count, dim):
+        v = brute_force_vertices(h)
+        assert (len(v.points), v.dim) == (count, dim)
+        assert fraction_brute_force_vertices(h) == v
 
 
 class TestFacetsAndSimplicity:
