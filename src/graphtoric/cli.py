@@ -57,8 +57,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_CONTRADICTION = 3
 
-# brute_force_vertices takes up to n+1 integer determinants per n-row
-# subset, exponential in the row count; past this ambient dimension (genus
+# brute_force_vertices makes one integer elimination per n-row subset,
+# exponential in the row count; past this ambient dimension (genus
 # 3) the cross-check is refused rather than left to crawl: genus 3 has 8,008
 # subsets, genus 4 already C(24, 9) = 1,307,504.
 ORACLE_DIM_LIMIT = 6
@@ -353,8 +353,8 @@ def _cmd_batch(args, parser) -> int:
 
 def _batch_row(g: int) -> dict:
     report, art = analyze_graph(multi_theta(g))
-    origin = art.vpoly.points.index((0,) * art.hrep.dim)
-    origin_facets = sum(art.vpoly.row_vertices[i] >> origin & 1 for i in art.facet_rows)
+    # the origin's key is 0, so it sorts first: vertex 0
+    origin_facets = sum(art.vpoly.row_vertices[i] & 1 for i in art.facet_rows)
     return {
         "g": g,
         "cube_vertex_count": report.cube_vertex_count,

@@ -3,9 +3,9 @@
 Everything runs on fractions.Fraction and Python integers, so results are
 bit-for-bit reproducible across platforms; floating point input is
 rejected outright.  A rational vector becomes integers in one place,
-scaled, which multiplies it by the lcm of its denominators.  det scales
-each row so and runs fraction-free (Bareiss) elimination.  inverse is a
-rational Gauss-Jordan elimination of m | I, with deterministic pivoting
+scaled, which multiplies it by the lcm of its denominators.  det, rank
+and inverse (of rows so scaled) share one fraction-free Gauss-Jordan
+elimination over Z, fraction_free_reduce, with deterministic pivoting
 (first nonzero entry, smallest row index).  hnf returns a row-style
 Hermite normal form together with its unimodular transform, both read
 off the reduced rows of m | I.  Over GF(2), vectors are bitmasks, and
@@ -96,45 +96,59 @@ def det(m: QMatrix) -> Fraction:
     return Fraction(integer_det(list(rows)), prod(scales))
 
 
-def integer_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free
-    elimination, in which every division is exact in Z.  Overwrites a."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
+def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in
+    place; returns (pivot columns, sign of the row swaps, last pivot p).
+
+    Column by column, the first row at or below the next pivot row with a
+    nonzero entry there becomes the pivot row (a column with none is
+    skipped), and every other row becomes (p*row - f*pivot row) / p', f
+    its entry in the column and p' the previous pivot (1 at first).  Every
+    division is exact in Z (Bareiss; Nakos, Turner and Williams): each
+    entry stays a minor of the input.  A nonsingular A | B ends as
+    p*I | p*inv(A)*B, with sign*p = det A."""
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top, p = a[r], a[r][c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
+    return pivots, sign, prev
+
+
+def integer_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (1 if 0 by 0).  Overwrites a."""
+    pivots, sign, p = fraction_free_reduce(a)
+    return sign * p if len(pivots) == len(a) else 0
+
+
+def integer_rank(vectors: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of some integer vectors, by fraction_free_reduce."""
+    return len(fraction_free_reduce([list(v) for v in vectors])[0])
 
 
 def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse by Gauss-Jordan elimination of m | I."""
+    """Exact inverse: with rows scaled, k*m | I reduces to p*I | p*inv(k*m),
+    and inv(m) is inv(k*m) times diag(k)."""
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.nrows
-    aug = [[*row, *e] for row, e in zip(m.rows, QMatrix.identity(n).rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pval = aug[c][c]
-        aug[c] = [x / pval for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return QMatrix([row[n:] for row in aug])
+    scales, rows = zip(*map(scaled, m.rows))
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    pivots, _, p = fraction_free_reduce(a)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return QMatrix([[Fraction(x * k, p) for x, k in zip(row[n:], scales)] for row in a])
 
 
 def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import and_, getitem, mul, or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactmath import integer_det, primitive, scaled
+from .exactmath import fraction_free_reduce, integer_rank, primitive, scaled
 from .graph_core import TrivalentGraph
 
 
@@ -175,7 +175,7 @@ def _vpolytope(h: HPolytope, scale: int, points: tuple, row_vertices: Sequence[i
     the rank of the implicit equalities, the rows tight at every vertex."""
     every = (1 << len(points)) - 1
     equalities = [row.a for row, mask in zip(h.rows, row_vertices) if mask == every]
-    return VPolytope(h.dim - _integer_rank(equalities), scale, points, tuple(row_vertices))
+    return VPolytope(h.dim - integer_rank(equalities), scale, points, tuple(row_vertices))
 
 
 def _bits(mask: int) -> list[int]:
@@ -186,29 +186,6 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _echelon_insert(basis: list[tuple[int, Sequence[int]]], vec: Sequence[int], width: int) -> bool:
-    """Clear vec at each pivot of ``basis`` (sorted by pivot; rows primitive,
-    zero left of the pivot) by integer cross-multiplication, then add it and
-    return True if any of its first ``width`` entries is left nonzero."""
-    for piv, row in basis:
-        if vec[piv]:
-            a, b = row[piv], vec[piv]
-            vec = [a * x - b * y for x, y in zip(vec, row)]
-    piv = next((i for i in range(width) if vec[i]), None)
-    if piv is not None:
-        basis.append((piv, primitive(vec)))
-        basis.sort(key=lambda t: t[0])
-    return piv is not None
-
-
-def _integer_rank(vectors: Iterable[Sequence[int]]) -> int:
-    basis: list[tuple[int, Sequence[int]]] = []
-    for vec in vectors:
-        if _echelon_insert(basis, vec, len(vec)) and len(basis) == len(vec):
-            break
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +287,26 @@ def brute_force_vertices(h: HPolytope) -> VPolytope:
     """Independent enumeration oracle: Cramer's rule, in integers, on
     every n-subset of rows.
 
-    A subset A.x = b with D = det A nonzero meets in the point whose
-    homogeneous ray is (D, D_1, ..., D_n), D_j the determinant of A with
-    column j replaced by b (integer_det).  Made primitive with a positive
-    first entry, the ray (t, t*x) survives if it satisfies every row, and
-    goes through the same builder as the closed form's rays.  Exponential
-    in the row count; intended for dimensions up to about 6.
+    One fraction_free_reduce of A | b decides whether A is nonsingular
+    (its first n pivot columns are 0..n-1) and leaves it p*I | p*x, so
+    (p, p*x) is the homogeneous ray of the point where A.x = b meets.
+    Made primitive with a positive first entry, the ray (t, t*x) survives
+    if it satisfies every row, and goes through the same builder as the
+    closed form's rays.  Exponential in the row count; intended for
+    dimensions up to about 6.
     """
+    n, nonsingular = h.dim, list(range(h.dim))
     found = {}  # ray -> the mask of its tight rows
-    for subset in itertools.combinations(h.rows, h.dim):
-        d = integer_det([list(row.a) for row in subset])
-        if not d:
+    for subset in itertools.combinations(h.rows, n):
+        a = [[*row.a, row.b] for row in subset]
+        pivots, _, p = fraction_free_reduce(a)
+        if pivots[:n] != nonsingular:
             continue
-        ray = primitive([d] + [
-            integer_det([[*row.a[:j], row.b, *row.a[j + 1:]] for row in subset])
-            for j in range(h.dim)
-        ])
-        if d < 0:
+        ray = primitive([p] + [row[n] for row in a])
+        if p < 0:
             ray = tuple(-c for c in ray)
         slack = [row.b * ray[0] - _idot(row.a, ray[1:]) for row in h.rows]
-        if min(slack) >= 0:
+        if min(slack, default=0) >= 0:
             found[ray] = sum(1 << k for k, s in enumerate(slack) if not s)
     return _vpolytope_from_rays(h, list(found), list(found.values()))
 

@@ -30,6 +30,7 @@ import pytest
 
 from graphtoric import cli, polytope
 from graphtoric.cli import analyze_graph
+from graphtoric.exactmath import integer_rank
 from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
 from graphtoric.polytope import (
@@ -338,8 +339,7 @@ def test_hrep_and_vertex_stage_build_no_fraction():
 
 
 def test_brute_force_builds_no_fraction():
-    # Cramer's rule over integer determinants, where a Gauss-Jordan solve
-    # made Fractions for every row subset
+    # one integer elimination per row subset
     assert fraction_calls(brute_force_vertices, build_hrep(multi_theta(3))) == 0
 
 
@@ -445,4 +445,4 @@ def test_theta7_vertex_list_is_certified():
         slack = [row.b * v.scale - polytope._idot(row.a, p) for row in h.rows]
         assert min(slack) >= 0
         assert tight == sum(1 << k for k, x in enumerate(slack) if x == 0)
-        assert polytope._integer_rank([h.rows[k].a for k in polytope._bits(tight)]) == h.dim
+        assert integer_rank([h.rows[k].a for k in polytope._bits(tight)]) == h.dim

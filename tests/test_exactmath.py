@@ -11,6 +11,7 @@ from graphtoric.exactmath import (
     gf2_echelon,
     hnf,
     integer_det,
+    integer_rank,
     inverse,
     primitive,
     primitive_direction,
@@ -19,7 +20,7 @@ from graphtoric.cli import AnalysisReport, analyze_graph
 from graphtoric.graph_core import multi_theta
 from graphtoric.lattice_fan import Lattice, is_lattice_point
 from graphtoric.polytope import HPolytope, contains
-from helpers import cofactor_det, gauss_rank, gf2_rank
+from helpers import cofactor_det, fraction_calls, gauss_rank, gauss_rref, gf2_rank
 
 F = Fraction
 
@@ -81,6 +82,10 @@ class TestDeterminant:
         swapped = [m[1], m[0], m[2]]
         assert det(mat(m)) == -det(mat(swapped))
 
+    def test_empty_matrix(self):
+        # the empty product: a 0 by 0 matrix has determinant 1
+        assert integer_det([]) == 1
+
 
 class TestInverse:
     def test_round_trip(self):
@@ -90,6 +95,37 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(ValueError):
             inverse(mat([[1, 1], [1, 1]]))
+
+    def test_rational_entries(self):
+        # rows scaled by 6 and 4 before the elimination, columns scaled back
+        rows = [[F(1, 2), F(1, 3)], [F(1, 4), 1]]
+        rref, _ = gauss_rref([rows[0] + [1, 0], rows[1] + [0, 1]])
+        assert inverse(mat(rows)) == mat([row[2:] for row in rref])
+
+    def test_integer_inverse_builds_few_fractions(self):
+        # the elimination runs in integers; only scaling the rows and
+        # building the n^2 entries of the result make Fractions
+        m = mat([[2, 1, 0, 0, 3, 1], [1, 3, 1, 0, 0, 2], [0, 1, 4, 1, 0, 0],
+                 [5, 0, 1, 2, 1, 0], [0, 2, 0, 1, 3, 1], [1, 0, 2, 0, 1, 4]])
+        assert det(m) != 0
+        assert fraction_calls(inverse, m) <= 3 * 6 ** 2
+
+
+class TestIntegerRank:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_gauss_rank(self, seed):
+        # 0 to 7 rows of 1 to 6 entries: empty, tall, wide and square, often
+        # rank-deficient, as some rows are combinations of others or a
+        # column is zero
+        rng = random.Random(seed)
+        nrows, ncols = seed % 8, rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and seed % 2:
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+        if seed % 3 == 0:
+            for row in rows:
+                row[rng.randrange(ncols)] = 0
+        assert integer_rank(rows) == gauss_rank(rows)
 
 
 class TestHnf:
@@ -214,11 +250,16 @@ def test_integer_det_matches_cofactor_oracle(rows):
 @given(square_matrices(max_n=5))
 def test_inverse_exactly_when_nonsingular(rows):
     m = mat(rows)
+    n = len(rows)
+    # the right block of the reduced m | I, by largest-absolute-value pivots
+    rref, pivots = gauss_rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
     if det(m) == 0:
+        assert pivots[:n] != list(range(n))
         with pytest.raises(ValueError):
             inverse(m)
     else:
-        assert m @ inverse(m) == QMatrix.identity(len(rows))
+        assert m @ inverse(m) == QMatrix.identity(n)
+        assert inverse(m) == mat([row[n:] for row in rref])
 
 
 @settings(deadline=None)

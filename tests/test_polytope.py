@@ -118,6 +118,8 @@ class TestEnumerateVertices:
     def test_vertices_sorted_lexicographically(self, theta3):
         v = enumerate_vertices(theta3, build_hrep(theta3))
         assert list(v.vertices) == sorted(v.vertices)
+        # the origin's key is 0, so it sorts first; batch reads it as vertex 0
+        assert v.points[0] == (0,) * 6
 
     def test_incidence_is_exact(self, theta3):
         h = build_hrep(theta3)
@@ -239,13 +241,21 @@ class TestBruteForceOracle:
             # rational rows: the triangle x/2 + y/3 <= 1 in the positive quadrant
             (HPolytope.from_inequalities(2, [((F(1, 2), F(1, 3)), 1), ((-1, 0), 0), ((0, -1), 0)]),
              3, 2),
+            # dimension 0: the point (), and with a 0 <= -1 marker nothing
+            (HPolytope(0, ()), 1, 0),
+            (HPolytope.from_inequalities(0, [((), -1)]), 0, -1),
         ],
-        ids=["infeasible-marker", "empty", "segment", "triangle-in-3d", "rational-rows"],
+        ids=["infeasible-marker", "empty", "segment", "triangle-in-3d", "rational-rows",
+             "point", "infeasible-point"],
     )
     def test_agrees_on_edge_cases(self, h, count, dim):
         v = brute_force_vertices(h)
         assert (len(v.points), v.dim) == (count, dim)
-        assert fraction_brute_force_vertices(h) == v
+        if h.dim:
+            assert fraction_brute_force_vertices(h) == v
+        else:
+            # the Fraction oracle needs n >= 1, so the values are pinned here
+            assert v == VPolytope(dim, 1, ((),) * count, (0,) * len(h.rows))
 
 
 class TestFacetsAndSimplicity:
