@@ -8,7 +8,7 @@ computes all three exactly over the rationals and decides whether the
 associated toric variety is smooth.
 """
 
-from .exactmath import QMatrix, det, hnf, inverse, primitive, primitive_direction
+from .exactmath import det, hnf, inverse, primitive, primitive_direction
 from .graph_core import (
     DegreeViolation,
     Disconnected,
@@ -66,7 +66,6 @@ __all__ = [
     "Lattice",
     "LatticePolytopeVerdict",
     "NotFullDimensional",
-    "QMatrix",
     "SimplicityVerdict",
     "TrinionTriple",
     "TrivalentGraph",

@@ -1,16 +1,17 @@
 """Exact rational linear algebra for small dense matrices.
 
+A matrix is a sequence of rows, each a sequence of ints or Fractions.
 Everything runs on fractions.Fraction and Python integers, so results are
 bit-for-bit reproducible across platforms; floating point input is
 rejected outright.  A rational vector becomes integers in one place,
 scaled, which multiplies it by the lcm of its denominators.  det, rank
 and inverse (of rows so scaled) share one fraction-free Gauss-Jordan
 elimination over Z, fraction_free_reduce, with deterministic pivoting
-(first nonzero entry, smallest row index).  hnf returns a row-style
-Hermite normal form together with its unimodular transform, both read
-off the reduced rows of m | I.  Over GF(2), vectors are bitmasks, and
-gf2_echelon gives a span's reduced echelon basis.
-"""
+(first nonzero entry, smallest row index); inverse returns Fraction rows.
+hnf returns a row-style Hermite normal form together with its unimodular
+transform as integer rows, both read off the reduced rows of m | I.  Over
+GF(2), vectors are bitmasks, and gf2_echelon gives a span's reduced
+echelon basis."""
 
 from __future__ import annotations
 
@@ -20,80 +21,32 @@ from typing import Iterable, Sequence
 
 
 def exact(x) -> Fraction:
-    """x as a Fraction; floats are refused, since they are not exact."""
+    """x as a Fraction, x itself if it is one; floats are refused as inexact."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("floating point values are not allowed; pass int or Fraction")
     return Fraction(x)
 
 
-class QMatrix:
-    """Immutable dense matrix with exact rational entries."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(exact(x) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise ValueError("matrix dimensions must be positive")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("matrix rows have unequal lengths")
-        self.rows: tuple[tuple[Fraction, ...], ...] = data
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        vec = [exact(x) for x in v]
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions do not match")
-        cols = list(zip(*other.rows))
-        return QMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.rows)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"QMatrix[{body}]"
+def _matrix(m: Sequence[Sequence], square: bool = False) -> tuple[list[int], list[list[int]]]:
+    """A rational matrix, given by its rows, as (scales, rows scaled to
+    integers) by scaled.  TypeError on a float; ValueError on an empty,
+    ragged or (if square is asked) non-square matrix."""
+    pairs = [scaled(row) for row in m]
+    width = len(pairs[0][1]) if pairs else 0
+    if not width or any(len(row) != width for _, row in pairs):
+        raise ValueError("matrix must be nonempty, with rows of equal length")
+    if square and len(pairs) != width:
+        raise ValueError("matrix must be square")
+    return [k for k, _ in pairs], [row for _, row in pairs]
 
 
-def det(m: QMatrix) -> Fraction:
-    """Exact determinant: rows scaled to integers, then integer_det."""
-    if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
-    scales, rows = zip(*map(scaled, m.rows))
-    return Fraction(integer_det(list(rows)), prod(scales))
+def det(m: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square rational matrix given by its rows:
+    rows scaled to integers, then integer_det."""
+    scales, rows = _matrix(m, square=True)
+    return Fraction(integer_det(rows), prod(scales))
 
 
 def fraction_free_reduce(a: list[list[int]]) -> tuple[list[int], int, int]:
@@ -137,22 +90,22 @@ def integer_rank(vectors: Iterable[Sequence[int]]) -> int:
     return len(fraction_free_reduce([list(v) for v in vectors])[0])
 
 
-def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse: with rows scaled, k*m | I reduces to p*I | p*inv(k*m),
-    and inv(m) is inv(k*m) times diag(k)."""
-    if not m.is_square:
-        raise ValueError("inverse requires a square matrix")
-    n = m.nrows
-    scales, rows = zip(*map(scaled, m.rows))
+def inverse(m: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square rational matrix given by its rows, as
+    Fraction rows; ValueError if it is singular.  With rows scaled, k*m | I
+    reduces to p*I | p*inv(k*m), and inv(m) is inv(k*m) times diag(k)."""
+    scales, rows = _matrix(m, square=True)
+    n = len(rows)
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     pivots, _, p = fraction_free_reduce(a)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return QMatrix([[Fraction(x * k, p) for x, k in zip(row[n:], scales)] for row in a])
+    return tuple(tuple(Fraction(x * k, p) for x, k in zip(row[n:], scales)) for row in a)
 
 
-def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Row-style Hermite normal form H of an integer matrix, with U*m = H.
+def hnf(m: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Row-style Hermite normal form H of an integer matrix given by its
+    rows, with U*m = H; both are returned as integer rows.
 
     H has the shape of m with its zero rows at the bottom; every pivot is
     positive, entries above a pivot are reduced into [0, pivot), and U is
@@ -160,10 +113,11 @@ def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
     value first, ties broken by row index.  The row operations run on the
     rows of m | I, whose left block ends as H and right block as U.
     """
-    if not m.is_integer():
+    scales, rows = _matrix(m)
+    if any(k != 1 for k in scales):
         raise ValueError("hnf requires integer entries")
-    nr, nc = m.nrows, m.ncols
-    a = [[int(x) for x in row] + [int(i == j) for j in range(nr)] for i, row in enumerate(m.rows)]
+    nr, nc = len(rows), len(rows[0])
+    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
     r = 0
     for c in range(nc):
         while True:
@@ -194,7 +148,7 @@ def hnf(m: QMatrix) -> tuple[QMatrix, QMatrix]:
         r += 1
         if r == nr:
             break
-    return QMatrix([row[:nc] for row in a]), QMatrix([row[nc:] for row in a])
+    return tuple(tuple(row[:nc]) for row in a), tuple(tuple(row[nc:]) for row in a)
 
 
 def scaled(v: Sequence) -> tuple[int, list[int]]:

@@ -26,9 +26,9 @@ from functools import cached_property
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactmath import QMatrix, det, gf2_echelon, integer_det, primitive, primitive_direction, scaled
+from .exactmath import det, gf2_echelon, integer_det, primitive, primitive_direction, scaled
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, _bits, is_simple
+from .polytope import HPolytope, VPolytope, _bits, _idot, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -163,13 +163,13 @@ def normal_fan(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> Fan:
     return Fan(h.dim, tuple(ray_ids), cones)
 
 
-def map_fan(fan: Fan, m: QMatrix) -> Fan:
-    """Apply an invertible linear map to every ray; cones carry over."""
-    if not m.is_square or m.nrows != fan.dim:
-        raise ValueError(f"map must be {fan.dim}x{fan.dim}")
-    if det(m) == 0:
-        raise ValueError("map is singular")
-    rays = tuple(primitive_direction(m.apply(r)) for r in fan.rays)
+def map_fan(fan: Fan, m: Sequence[Sequence]) -> Fan:
+    """Apply an invertible linear map, given by the rows of m, to every
+    ray; cones carry over.  ValueError unless m is an invertible
+    fan.dim x fan.dim matrix; TypeError on a float."""
+    if det(m) == 0 or len(m) != fan.dim:
+        raise ValueError(f"map must be an invertible {fan.dim}x{fan.dim} matrix")
+    rays = tuple(primitive_direction([_idot(row, r) for row in m]) for r in fan.rays)
     return Fan(fan.dim, rays, fan.maximal_cones)
 
 

@@ -23,8 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from graphtoric.exactmath import (EchelonBasis, QMatrix, exact, hnf, inverse, primitive,
-                                  primitive_direction)
+from graphtoric.exactmath import EchelonBasis, exact, hnf, inverse, primitive, primitive_direction
 from graphtoric.graph_core import GraphError, TrinionTriple, TrivalentGraph
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, Lattice
 from graphtoric.polytope import (
@@ -323,8 +322,8 @@ def fraction_initial_cone(rows, d):
                 break
     if len(initial) < d:
         raise UnboundedPolytope("rows of rank below d")
-    binv = inverse(QMatrix([rows[j] for j in initial]))
-    return initial, [primitive_direction(col) for col in zip(*binv.rows)]
+    binv = inverse([rows[j] for j in initial])
+    return initial, [primitive_direction(col) for col in zip(*binv)]
 
 
 def fraction_brute_force_vertices(h: HPolytope) -> VPolytope:
@@ -465,16 +464,16 @@ def hermite_lattice(generators) -> Lattice:
     if any(len(g) != n for g in gens):
         raise ValueError("generators of mixed length")
     scale = math.lcm(*(x.denominator for g in gens for x in g))
-    h, _ = hnf(QMatrix([[x * scale for x in g] for g in gens]))
-    rows = [r for r in h.rows if any(r)]
+    h, _ = hnf([[x * scale for x in g] for g in gens])
+    rows = tuple(r for r in h if any(r))
     if len(rows) != n:
         raise ValueError(f"generators span rank {len(rows)} < {n}")
-    return Lattice(n, scale, tuple(tuple(x.numerator for x in r) for r in rows))
+    return Lattice(n, scale, rows)
 
 
-def lattice_basis(lattice: Lattice) -> QMatrix:
+def lattice_basis(lattice: Lattice) -> tuple[tuple[Fraction, ...], ...]:
     """The rational basis a Lattice stands for: its rows over its scale."""
-    return QMatrix([[Fraction(x, lattice.scale) for x in row] for row in lattice.rows])
+    return tuple(tuple(Fraction(x, lattice.scale) for x in row) for row in lattice.rows)
 
 
 def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
@@ -496,7 +495,7 @@ def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
         neighbours = [j for j, t in enumerate(tight) if len(tight[i] & t) == n - 1]
         assert len(neighbours) == n, (p, neighbours)
         rows = [
-            primitive_direction(basis.apply([a - b for a, b in zip(v.vertices[j], p)]))
+            primitive_direction(apply(basis, [a - b for a, b in zip(v.vertices[j], p)]))
             for j in neighbours
         ]
         d = cofactor_det(rows)
@@ -509,7 +508,7 @@ def edge_route_verdict(h: HPolytope, v: VPolytope, lattice):
 
 def inverse_lattice_member(x, lattice) -> bool:
     """Membership by the coordinates inverse(basis)^T x, all integral."""
-    coordinates = inverse(lattice_basis(lattice)).transpose().apply(x)
+    coordinates = apply(list(zip(*inverse(lattice_basis(lattice)))), x)
     return all(c.denominator == 1 for c in coordinates)
 
 
@@ -538,6 +537,22 @@ def fraction_calls(fn, *args) -> int:
 # ---------------------------------------------------------------------------
 # Linear algebra oracles
 # ---------------------------------------------------------------------------
+
+def apply(m, v) -> tuple:
+    """The rows of a matrix m times the column vector v."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def matmul(a, b) -> tuple:
+    """The matrix product a*b, of matrices given by their rows."""
+    columns = tuple(zip(*b))
+    return tuple(apply(columns, row) for row in a)
+
+
+def identity(n: int) -> tuple:
+    """The n by n identity matrix, as rows."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
 
 def cofactor_det(rows) -> Fraction:
     """Determinant by recursive cofactor expansion along the first row."""
@@ -571,10 +586,14 @@ def gauss_rref(rows):
         if best is None or a[best][c] == 0:
             continue
         a[r], a[best] = a[best], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
+        # zero entries are left as they are: dividing one, or subtracting
+        # a multiple of one, changes nothing
+        p = a[r][c]
+        top = a[r] = [x / p if x else x for x in a[r]]
         for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], top)]
         pivots.append(c)
         r += 1
         if r == len(a):

@@ -11,7 +11,6 @@ import sys
 import time
 from fractions import Fraction
 
-from graphtoric.exactmath import QMatrix
 from graphtoric.graph_core import TrivalentGraph, multi_theta
 from graphtoric.lattice_fan import (
     SINGULAR,
@@ -136,9 +135,7 @@ def test_criterion_5_projective_space_fan():
         graph = multi_theta(2)
         h = build_hrep(graph)
         v = enumerate_vertices(graph, h)
-        fan = map_fan(
-            normal_fan(h, v, facet_defining_rows(h, v)), QMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        )
+        fan = map_fan(normal_fan(h, v, facet_defining_rows(h, v)), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         ok = set(fan.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)}
     _criterion(5, "mapped fan has the projective-space rays", ok, t.elapsed, 1)
 
