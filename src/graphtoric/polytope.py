@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from math import gcd, lcm
-from operator import and_, getitem, mul, or_, xor
+from operator import xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactmath import fraction_free_reduce, integer_rank, primitive, scaled
@@ -199,9 +199,7 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     are a labelling z that _parity_solutions reads off the fundamental
     cycles for S (README).  The scale is 2 if some S is not empty, else 1.
     Vertex x is one integer key whose byte e from the top is scale*x_e, so
-    sorted keys are sorted points.  A row is tight at the OR, over its
-    support's values 2x that make it tight, of the AND of the edges'
-    vertex masks at those values, read off the sorted keys' byte lanes."""
+    sorted keys are sorted points; the row masks come from _row_masks."""
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
@@ -215,27 +213,39 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
         keys += _span(spread(s) | spread(t) << z_shift, [spread(c) << z_shift for c in gens])
     keys.sort()
     data = b"".join([k.to_bytes(n, "big") for k in keys])
-    # tables[w]: byte v = scale*x_e -> b"1" iff 2x_e = w; at scale 1, w = 1 takes v = 3, never met
-    tables = [b"0" * v + b"1" + b"0" * (255 - v) for v in ((0, 1, 2) if scale == 2 else (0, 3, 1))]
-    lanes = (data[e::n] for e in range(n))
-    at = [tuple(int(lane.translate(t)[::-1], 2) for t in tables) for lane in lanes]
-    every = (1 << len(keys)) - 1
-    row_vertices = []
-    for row in h.rows:
-        cols = [at[e] for e, c in enumerate(row.a) if c]
-        row_vertices.append(reduce(or_, [
-            reduce(and_, map(getitem, cols, w), every)
-            for w in _tight_values(tuple(filter(None, row.a)), row.b)
-        ], 0))
+    row_vertices = _row_masks(h, data, scale)  # its lanes are freed before the points are cut
     return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices)
 
 
+def _row_masks(h: HPolytope, data: bytes, scale: int) -> list[int]:
+    """Bit i of row k's mask is set iff row k is tight at vertex i of the
+    sorted points scale*x in ``data``, n bytes each.  Lane e holds
+    scale*x_e <= 2, one byte per vertex, vertex 0 lowest.  A row's support
+    e_0 < e_1 < ... (at most 4 edges, else ValueError) packs lane e_j into
+    bits 2j and 2j+1 of a code byte per vertex, rebuilt only when the
+    support changes (once per trinion of a loop-free build_hrep).  A table
+    maps each code byte to b"1" iff the row is tight at its fields, so the
+    translated code, vertex 0 last, is the mask in base 2."""
+    n = h.dim
+    lanes = [int.from_bytes(data[e::n], "little") for e in range(n)]
+    masks, support, code = [], None, b""
+    for k, row in enumerate(h.rows):
+        edges = [e for e, c in enumerate(row.a) if c]
+        if edges != support:
+            if len(edges) > 4:
+                raise ValueError(f"row {k} {row} has {len(edges)} edges; a support code holds 4")
+            support = edges
+            code = sum(lanes[e] << 2 * j for j, e in enumerate(edges)).to_bytes(len(data) // n, "big")
+        table = _tight_table(tuple(row.a[e] for e in edges), scale * row.b)
+        masks.append(int(code.translate(table), 2))
+    return masks
+
+
 @lru_cache(maxsize=256)
-def _tight_values(coeffs: tuple[int, ...], b: int) -> tuple[tuple[int, ...], ...]:
-    """The values w in {0, 1, 2}^k with coeffs.w = 2b: the values 2x on a
-    row's support of k edges at which the row is tight."""
-    values = itertools.product(range(3), repeat=len(coeffs))
-    return tuple(w for w in values if sum(map(mul, coeffs, w)) == 2 * b)
+def _tight_table(coeffs: tuple[int, ...], target: int) -> bytes:
+    """Code byte w -> b"1" iff coeffs.w = target, w_j its 2-bit field j."""
+    dot = lambda w: sum(c * (w >> 2 * j & 3) for j, c in enumerate(coeffs))
+    return bytes(b"01"[dot(w) == target] for w in range(256))
 
 
 def _parity_solutions(graph: TrivalentGraph, s: int) -> tuple[int, list[int]] | None:

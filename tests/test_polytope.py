@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,38 @@ class TestEnumerateVertices:
         v = enumerate_vertices(graph, build_hrep(graph))
         assert type(v.points) is tuple
         assert all(type(p) is tuple and all(type(c) is int for c in p) for p in v.points)
+
+    def test_shuffled_rows_permute_the_masks(self):
+        # a row's support code is shared with the row before it only when
+        # their supports are equal; with the trinions' rows shuffled apart
+        # each row must still get its own mask, and the points stay put
+        rng = random.Random(3001)
+        randoms = [random_trivalent_graph(rng, 2 * rng.randint(2, 6) - 2) for _ in range(100)]
+        assert sum(not graph.is_loop_free() for graph in randoms) >= 20
+        for graph in [multi_theta(g) for g in range(2, 8)] + randoms:
+            h = build_hrep(graph)
+            v = enumerate_vertices(graph, h)
+            order = list(range(len(h.rows)))
+            rng.shuffle(order)
+            shuffled = enumerate_vertices(graph, HPolytope(h.dim, tuple(h.rows[k] for k in order)))
+            assert shuffled.points == v.points and shuffled.scale == v.scale, graph
+            assert shuffled.row_vertices == tuple(v.row_vertices[k] for k in order), graph
+            assert shuffled.dim == v.dim
+
+    def test_support_code_holds_four_edges(self, theta3):
+        # four edges fill the code byte and match the row evaluated at
+        # each point; a fifth does not fit, and the row is named
+        h = build_hrep(theta3)
+        four = Row((2, -1, 1, -1, 0, 0), 1)
+        v = enumerate_vertices(theta3, HPolytope(6, h.rows + (four,)))
+        dot = lambda p: sum(c * x for c, x in zip(four.a, p))
+        tight = [i for i, p in enumerate(v.points) if dot(p) == v.scale]
+        assert 0 < len(tight) < len(v.points)
+        assert v.row_vertices[-1] == sum(1 << i for i in tight)
+        five = Row((1, 1, 1, 1, 1, 0), 4)
+        message = re.escape(f"row {len(h.rows)} {five} has 5 edges")
+        with pytest.raises(ValueError, match=message):
+            enumerate_vertices(theta3, HPolytope(6, h.rows + (five,)))
 
     def test_system_of_another_dimension_is_refused(self, theta2, theta3):
         with pytest.raises(ValueError, match="dimension 6, the graph 3 edges"):
