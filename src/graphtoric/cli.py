@@ -40,6 +40,7 @@ from .lattice_fan import (
     apply_loop_free_guard,
     build_lattice,
     delzant_check,
+    is_lattice_polytope,
 )
 from .polytope import (
     HPolytope,
@@ -193,11 +194,11 @@ def analyze_graph(
     facts = {}
     if not skip_vertex_enum:
         v = enumerate_vertices(graph, h)
-        # lcm of s/gcd(s, c_i) over the coordinates is s/gcd(s, c_1, ..., c_n)
-        denoms = [v.scale // gcd(v.scale, *p) for p in v.points]
-        if denoms.count(1) != cube_vertex_count:
+        # p/scale is integral iff scale divides every coordinate of p
+        integral = sum(gcd(v.scale, *p) == v.scale for p in v.points)
+        if integral != cube_vertex_count:
             raise ConsistencyError(
-                f"{denoms.count(1)} integer vertices enumerated, "
+                f"{integral} integer vertices enumerated, "
                 f"but {cube_vertex_count} cube vertices"
             )
         facet_rows = facet_defining_rows(h, v)
@@ -207,10 +208,11 @@ def analyze_graph(
             affine_dim=v.dim,
             facet_count=len(facet_rows),
             vertex_count=len(v.points),
-            max_vertex_denominator=max(denoms, default=1),
+            # the lcm of denominators in {1, 2} is their maximum
+            max_vertex_denominator=v.scale,
             simple=verdict.simple,
             simple_witness=verdict.simple_witness,
-            lattice_polytope=verdict.lattice_polytope,
+            lattice_polytope=is_lattice_polytope(v, lattice).ok,
             smooth=verdict.smooth,
             overall=verdict.overall,
         )

@@ -128,7 +128,8 @@ def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdic
     lattice L of build_lattice, not against its dual L*, the lattice
     M = L* that delzant_check's choice N = L would give the vertices.
     The two differ from multi_theta(3) on, whose vertices all lie in L
-    but not all in L*; the answer does not enter the verdict."""
+    but not all in L*.  delzant_check does not call it: the answer is a
+    fact of the report, not part of the smoothness verdict."""
     bad = _first_non_member(v.points, v.scale, lattice)
     return LatticePolytopeVerdict(bad is None, None if bad is None else v.vertex(bad))
 
@@ -179,12 +180,11 @@ def map_fan(fan: Fan, m: Sequence[Sequence]) -> Fan:
 
 @dataclass(frozen=True)
 class DelzantVerdict:
-    """Outcome of the smoothness test.
+    """Outcome of the Delzant test, and of nothing else.
 
     ``overall`` is SMOOTH iff the polytope is simple and every vertex
-    passes the determinant test; ``lattice_polytope`` is informational
-    and does not enter the overall verdict.  ``smooth_witness_det`` is
-    the determinant of the primitive inward facet normals at
+    passes the determinant test.  ``smooth_witness_det`` is the
+    determinant of the primitive inward facet normals at
     ``smooth_witness``, in lattice coordinates (see delzant_check): the
     index of that vertex's normal cone in the lattice, up to sign.
     """
@@ -192,8 +192,6 @@ class DelzantVerdict:
     simple: bool
     simple_witness: tuple[Fraction, ...] | None
     simple_witness_facets: int | None
-    lattice_polytope: bool
-    lattice_offender: tuple[Fraction, ...] | None
     smooth: bool
     smooth_witness: tuple[Fraction, ...] | None
     smooth_witness_det: int | None
@@ -203,8 +201,9 @@ class DelzantVerdict:
 def delzant_check(
     h: HPolytope, v: VPolytope, lattice: Lattice, facet_rows: tuple[int, ...]
 ) -> DelzantVerdict:
-    """Simplicity, then the determinant test on the normal fan, both read
-    from ``facet_rows``, the result of facet_defining_rows(h, v).
+    """The Delzant test alone: simplicity, then the determinant test on
+    the normal fan, both read from ``facet_rows``, the result of
+    facet_defining_rows(h, v).  It does not ask is_lattice_polytope.
 
     At a simple vertex the primitive inward normals of the n tight facets,
     written in coordinates of the lattice basis and made primitive, must
@@ -221,7 +220,6 @@ def delzant_check(
     witness carried through.
     """
     simplicity = is_simple(h, v, facet_rows)
-    lp = is_lattice_polytope(v, lattice)
     witness = witness_det = None
     if simplicity.simple:
         fan = normal_fan(h, v, facet_rows)
@@ -241,8 +239,6 @@ def delzant_check(
         simple=simplicity.simple,
         simple_witness=simplicity.witness,
         simple_witness_facets=simplicity.witness_facets,
-        lattice_polytope=lp.ok,
-        lattice_offender=lp.offending,
         smooth=smooth,
         smooth_witness=witness,
         smooth_witness_det=witness_det,

@@ -213,6 +213,7 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
         keys += _span(spread(s) | spread(t) << z_shift, [spread(c) << z_shift for c in gens])
     keys.sort()
     data = b"".join([k.to_bytes(n, "big") for k in keys])
+    del keys  # one int per vertex, not needed to cut the points
     row_vertices = _row_masks(h, data, scale)  # its lanes are freed before the points are cut
     return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices)
 

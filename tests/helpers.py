@@ -76,6 +76,16 @@ def incidence_triples(graph: TrivalentGraph) -> tuple[TrinionTriple, ...]:
     )
 
 
+def unit_cube(n: int) -> HPolytope:
+    """The unit cube [0, 1]^n: rows x_i <= 1 and -x_i <= 0."""
+    ineqs = []
+    for i in range(n):
+        e = tuple(int(i == k) for k in range(n))
+        ineqs.append((e, 1))
+        ineqs.append((tuple(-x for x in e), 0))
+    return HPolytope.from_inequalities(n, ineqs)
+
+
 def random_hsystem(rng: random.Random, n: int, extra_rows: int = 3) -> HPolytope:
     """The unit cube in dimension n cut by extra random integer rows."""
     inequalities = []

@@ -91,8 +91,6 @@ def fake_smooth_verdict():
         simple=True,
         simple_witness=None,
         simple_witness_facets=None,
-        lattice_polytope=True,
-        lattice_offender=None,
         smooth=True,
         smooth_witness=None,
         smooth_witness_det=None,
@@ -423,6 +421,7 @@ STAGES = (
     "enumerate_vertices",
     "facet_defining_rows",
     "delzant_check",
+    "is_lattice_polytope",
 )
 
 
@@ -449,7 +448,9 @@ def stage_calls(monkeypatch):
 
 class TestStagesRunOnce:
     """Every stage once per graph; the cube vertices are counted from the
-    genus, so cube_vertex_labellings is never called."""
+    genus, so cube_vertex_labellings is never called.  is_lattice_polytope
+    is a stage of its own, once per enumerated graph: delzant_check does
+    not call it, and skipping the vertices skips it."""
 
     def test_batch(self, stage_calls, capsys):
         assert main(["batch", "2", "4", "--json"]) == 0
@@ -464,6 +465,12 @@ class TestStagesRunOnce:
         assert stage_calls == {
             name: int(name in ("build_hrep", "build_lattice")) for name in STAGES
         }
+
+    def test_delzant_check_asks_no_lattice_question(self, stage_calls, bundles):
+        b = bundles["theta2"]
+        assert lattice_fan.delzant_check(b.hrep, b.vpoly, b.lattice, b.facet_rows).smooth
+        assert stage_calls["delzant_check"] == 1
+        assert stage_calls["is_lattice_polytope"] == 0
 
 
 class TestReportValue:

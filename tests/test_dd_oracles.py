@@ -32,7 +32,7 @@ from graphtoric import cli, polytope
 from graphtoric.cli import analyze_graph
 from graphtoric.exactmath import integer_rank
 from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
-from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice
+from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice, is_lattice_polytope
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
@@ -349,16 +349,18 @@ def test_brute_force_builds_no_fraction():
     ids=["theta4", "theta2"],
 )
 def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
-    # the verdict stage works on VPolytope.points; the rational vertices
-    # are built only for exports and callers that ask for them.  theta4
-    # has a lattice offender, and theta2 reaches the determinant step
+    # the verdict and lattice stages work on VPolytope.points; the
+    # rational vertices are built only for exports and callers that ask
+    # for them.  theta4 has a lattice offender, and theta2 reaches the
+    # determinant step
     def unread(v):
         raise AssertionError("analyze_graph read VPolytope.vertices")
 
     monkeypatch.setattr(VPolytope, "vertices", property(unread))
     report, art = analyze_graph(graph)
     assert report.overall == overall
-    assert (art.verdict.lattice_offender is None) == art.verdict.smooth == (overall == SMOOTH)
+    offender = is_lattice_polytope(art.vpoly, art.lattice).offending
+    assert report.lattice_polytope == (offender is None) == art.verdict.smooth == (overall == SMOOTH)
 
 
 LOOPED_GENUS3 = TrivalentGraph(4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)))

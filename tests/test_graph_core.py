@@ -10,6 +10,7 @@ from graphtoric import graph_core
 from graphtoric.graph_core import (
     DegreeViolation,
     Disconnected,
+    GenusTooSmall,
     GraphError,
     GraphSyntaxError,
     TrivalentGraph,
@@ -37,6 +38,13 @@ class TestMultiTheta:
         assert graph.n_edges == 3 * g - 3
         assert graph.genus == g
         assert graph.is_loop_free()
+
+    @pytest.mark.parametrize("g", [0, 1])
+    def test_genus_below_two_is_refused(self, g):
+        with pytest.raises(GenusTooSmall) as e:
+            multi_theta(g)
+        assert e.value.genus == g
+        assert str(e.value) == f"genus {g} is below the minimum of 2"
 
     def test_degrees_are_three(self):
         graph = multi_theta(5)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphtoric.graph_core import multi_theta
+from graphtoric.cli import analyze_graph
+from graphtoric.graph_core import TrivalentGraph, multi_theta
 from graphtoric.lattice_fan import (
     SINGULAR,
     SMOOTH,
@@ -34,6 +35,7 @@ from helpers import (
     random_trivalent_graph,
     rational_vpolytope,
     trinion_parity_vectors,
+    unit_cube,
 )
 
 F = Fraction
@@ -41,15 +43,6 @@ F = Fraction
 # the coordinate change that carries the genus-2 normal fan onto the fan
 # of 3-dimensional projective space
 A_MAP = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-
-
-def unit_cube_h(n):
-    ineqs = []
-    for i in range(n):
-        e = tuple(int(i == k) for k in range(n))
-        ineqs.append((e, 1))
-        ineqs.append((tuple(-x for x in e), 0))
-    return HPolytope.from_inequalities(n, ineqs)
 
 
 class TestLattice:
@@ -257,7 +250,7 @@ class TestNormalFan:
         assert all(len(c) == 3 for c in fan.maximal_cones)
 
     def test_cube_fan(self):
-        h = unit_cube_h(3)
+        h = unit_cube(3)
         v = dd_vertices(h)
         fan = normal_fan(h, v, facet_defining_rows(h, v))
         expected = set()
@@ -297,7 +290,7 @@ class TestMapFan:
         assert mapped.maximal_cones == fan.maximal_cones
 
     def test_cube_under_map(self):
-        h = unit_cube_h(3)
+        h = unit_cube(3)
         v = dd_vertices(h)
         fan = map_fan(normal_fan(h, v, facet_defining_rows(h, v)), A_MAP)
         assert set(fan.rays) == {
@@ -319,9 +312,10 @@ class TestMapFan:
 
 class TestDelzantCheck:
     def test_genus_two_smooth(self, bundles):
-        verdict = bundles["theta2"].verdict
-        assert verdict.overall == SMOOTH
-        assert verdict.simple and verdict.smooth and verdict.lattice_polytope
+        b = bundles["theta2"]
+        assert b.verdict.overall == SMOOTH
+        assert b.verdict.simple and b.verdict.smooth
+        assert is_lattice_polytope(b.vpoly, b.lattice).ok
 
     def test_simplex_standard_lattice_smooth(self):
         h = HPolytope.from_inequalities(
@@ -415,6 +409,47 @@ class TestDelzantCheck:
                 assert b.verdict.simple
 
 
+def _loop_trinions(graph):
+    """L: the trinions whose triple repeats an edge, one per loop."""
+    return sum(len(set(t.edges)) < 3 for t in graph.trinion_triples())
+
+
+# a centre joined to three looped trinions: genus 3 with L = 3
+TRIPOD = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+
+
+class TestLoopedGraphs:
+    """The paper's theorem past loop-free graphs (README, *Graphs with
+    loops*): a loop trinion's row -x_b <= 0 on its bridge b is redundant,
+    and the origin lies on 6g-6-2L facets, more than 3g-3 from genus 4."""
+
+    def test_random_graphs_of_genus_three_to_six(self):
+        rng = random.Random(5)
+        graphs = [random_trivalent_graph(rng, 2 * g - 2) for g in range(3, 7) for _ in range(50)]
+        assert sum(not g.is_loop_free() for g in graphs) >= len(graphs) // 3
+        looped_high = 0
+        for graph in graphs:
+            g, loops = graph.genus, _loop_trinions(graph)
+            assert loops <= g
+            report, art = analyze_graph(graph)
+            assert report.overall == SINGULAR
+            assert report.facet_count == len(art.hrep.rows) - loops
+            if g >= 4:
+                assert art.verdict.simple_witness == (F(0),) * art.hrep.dim
+                assert art.verdict.simple_witness_facets == 6 * g - 6 - 2 * loops
+                looped_high += loops > 0
+        assert looped_high >= 30
+
+    def test_tripod_origin_is_simple(self):
+        report, art = analyze_graph(TRIPOD)
+        assert _loop_trinions(TRIPOD) == 3
+        assert (report.overall, report.facet_count) == (SINGULAR, 10)
+        # the origin sorts first: bit 0 of each facet row's mask
+        assert sum(art.vpoly.row_vertices[i] & 1 for i in art.facet_rows) == 6
+        assert art.verdict.simple_witness == (0, 1, 1, 0, F(1, 2), F(1, 2))
+        assert art.verdict.simple_witness_facets == 8
+
+
 class TestSingularityReport:
     def test_guard_applied_only_loop_free_high_genus(self, bundles):
         for name, applied in (
@@ -428,8 +463,6 @@ class TestSingularityReport:
             simple=True,
             simple_witness=None,
             simple_witness_facets=None,
-            lattice_polytope=True,
-            lattice_offender=None,
             smooth=True,
             smooth_witness=None,
             smooth_witness_det=None,

@@ -34,6 +34,7 @@ from helpers import (
     random_hsystem,
     random_trivalent_graph,
     ray_tuple_vertices,
+    unit_cube,
 )
 
 F = Fraction
@@ -44,15 +45,6 @@ TET_VERTICES = {
     (F(1), F(0), F(1)),
     (F(0), F(1), F(1)),
 }
-
-
-def unit_cube(n):
-    ineqs = []
-    for i in range(n):
-        e = tuple(int(i == k) for k in range(n))
-        ineqs.append((e, 1))
-        ineqs.append((tuple(-x for x in e), 0))
-    return HPolytope.from_inequalities(n, ineqs)
 
 
 class TestBuildHrep:
