@@ -23,7 +23,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .exactmath import exact
 from .graph_core import (
@@ -184,8 +183,9 @@ def analyze_graph(
     """Run every stage once, in the one place that sequences them.
 
     The 2^g cube vertices are counted from the genus and checked against
-    the integer vertices, if enumerated, which guards only the points'
-    lanes, scale and denominators (README).  Raises ConsistencyError."""
+    the popcount of ``integer_vertices``, if enumerated, which guards only
+    the byte lanes it is read from and the scale (README).  Raises
+    ConsistencyError."""
     t0 = time.perf_counter()
     h = build_hrep(graph)
     cube_vertex_count = 1 << graph.genus
@@ -194,8 +194,7 @@ def analyze_graph(
     facts = {}
     if not skip_vertex_enum:
         v = enumerate_vertices(graph, h)
-        # p/scale is integral iff scale divides every coordinate of p
-        integral = sum(gcd(v.scale, *p) == v.scale for p in v.points)
+        integral = v.integer_vertices.bit_count()
         if integral != cube_vertex_count:
             raise ConsistencyError(
                 f"{integral} integer vertices enumerated, "

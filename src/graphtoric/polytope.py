@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from math import gcd, lcm
-from operator import xor
+from operator import or_, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactmath import fraction_free_reduce, integer_rank, primitive, scaled
@@ -116,7 +116,9 @@ class VPolytope:
     ``scale`` times vertex i, ``scale`` the lcm of all vertex denominators
     (1 when there are none), and the points are sorted, which is the
     lexicographic order of the vertices.  ``vertices`` is the rational
-    tuple they stand for, built on first use.
+    tuple they stand for, built on first use.  ``integer_vertices`` has
+    bit i set iff vertex i is integral, that is, ``scale`` divides every
+    coordinate of ``points[i]``.
 
     ``row_vertices[k]``, one per H-row, has bit i set iff row k is tight
     at vertex i; its transposition ``tight`` (vertex i's row mask) and the
@@ -132,6 +134,7 @@ class VPolytope:
     scale: int
     points: tuple[tuple[int, ...], ...]
     row_vertices: tuple[int, ...]
+    integer_vertices: int
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -160,22 +163,27 @@ def _vpolytope_from_rays(h: HPolytope, rays: Sequence[tuple[int, ...]], tight: S
     """The V-polytope of primitive homogeneous rays (t, t*x), t > 0, with
     ``tight[r]`` the mask of the rows of ``h`` tight at ray r.  The scale L
     is the lcm of all t, so of all vertex denominators as each ray is
-    primitive; vertex x is the point L*x, its mask transposed into rows."""
+    primitive; vertex x is the point L*x, its mask transposed into rows,
+    and it is integral iff L divides every coordinate of L*x."""
     if not rays:
-        return VPolytope(-1, 1, (), (0,) * len(h.rows))
+        return VPolytope(-1, 1, (), (0,) * len(h.rows), 0)
     scale = lcm(*(ray[0] for ray in rays))
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     points, tight = zip(*sorted(zip(points, tight)))
-    return _vpolytope(h, scale, points, _transpose(tight, len(h.rows)))
+    integer = sum(1 << i for i, p in enumerate(points) if gcd(scale, *p) == scale)
+    return _vpolytope(h, scale, points, _transpose(tight, len(h.rows)), integer)
 
 
-def _vpolytope(h: HPolytope, scale: int, points: tuple, row_vertices: Sequence[int]) -> VPolytope:
+def _vpolytope(
+    h: HPolytope, scale: int, points: tuple, row_vertices: Sequence[int], integer_vertices: int
+) -> VPolytope:
     """The V-polytope of the sorted, non-empty points scale*x with vertex
     masks ``row_vertices``, one per row of ``h``; its dimension is n minus
     the rank of the implicit equalities, the rows tight at every vertex."""
     every = (1 << len(points)) - 1
     equalities = [row.a for row, mask in zip(h.rows, row_vertices) if mask == every]
-    return VPolytope(h.dim - integer_rank(equalities), scale, points, tuple(row_vertices))
+    dim = h.dim - integer_rank(equalities)
+    return VPolytope(dim, scale, points, tuple(row_vertices), integer_vertices)
 
 
 def _bits(mask: int) -> list[int]:
@@ -199,35 +207,61 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     are a labelling z that _parity_solutions reads off the fundamental
     cycles for S (README).  The scale is 2 if some S is not empty, else 1.
     Vertex x is one integer key whose byte e from the top is scale*x_e, so
-    sorted keys are sorted points; the row masks come from _row_masks."""
+    sorted keys are sorted points.  The edge masks are kept in that byte
+    layout throughout (_byte_cycles), so S, the T-joins and the generators
+    come out as key bytes; the row masks and the integer vertices come
+    from _row_masks."""
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
-    found = [(s, p) for s in _span(0, graph.cycle_basis()) if (p := _parity_solutions(graph, s))]
+    cycles = _byte_cycles(graph)
+    found = [(s, p) for s in _span(0, [c for c, _, _ in cycles]) if (p := _parity_solutions(cycles, s))]
     scale = 2 if any(s for s, _ in found) else 1
-    spec, zeros = f"0{n}b", int.from_bytes(b"0" * n, "big")
-    # bit e of m -> a 1 in byte e of n bytes: m's binary digits, reversed, as bytes
-    spread = lambda m: int.from_bytes(format(m, spec)[::-1].encode(), "big") - zeros
     keys, z_shift = [], scale - 1  # the byte of edge e holds s_e + scale*z_e
     for s, (t, gens) in found:
-        keys += _span(spread(s) | spread(t) << z_shift, [spread(c) << z_shift for c in gens])
+        keys += _span(s | t << z_shift, [c << z_shift for c in gens])
     keys.sort()
     data = b"".join([k.to_bytes(n, "big") for k in keys])
     del keys  # one int per vertex, not needed to cut the points
-    row_vertices = _row_masks(h, data, scale)  # its lanes are freed before the points are cut
-    return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices)
+    row_vertices, integer = _row_masks(h, data, scale)  # its lanes are freed before the points are cut
+    return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices, integer)
 
 
-def _row_masks(h: HPolytope, data: bytes, scale: int) -> list[int]:
-    """Bit i of row k's mask is set iff row k is tight at vertex i of the
-    sorted points scale*x in ``data``, n bytes each.  Lane e holds
-    scale*x_e <= 2, one byte per vertex, vertex 0 lowest.  A row's support
-    e_0 < e_1 < ... (at most 4 edges, else ValueError) packs lane e_j into
-    bits 2j and 2j+1 of a code byte per vertex, rebuilt only when the
-    support changes (once per trinion of a loop-free build_hrep).  A table
-    maps each code byte to b"1" iff the row is tight at its fields, so the
-    translated code, vertex 0 last, is the mask in base 2."""
-    n = h.dim
+def _byte_cycles(graph: TrivalentGraph) -> list[tuple[int, int, int]]:
+    """``graph._cycles`` in the key layout: bit e of each edge mask moves
+    to the lowest bit of byte e, counted from the top of n bytes.  Only
+    the 2g-2 tree paths are spread; the map is linear over XOR, so each
+    cycle is its non-tree byte XOR the paths to its ends (a tree edge's
+    cancels to 0 and is dropped, as in ``_cycles``)."""
+    n = graph.n_edges
+    spec, zeros = f"0{n}b", int.from_bytes(b"0" * n, "big")
+    # bit e of m -> a 1 in byte e of n bytes: m's binary digits, reversed, as bytes
+    paths = [int.from_bytes(format(p, spec)[::-1].encode(), "big") - zeros for p in graph._paths]
+    return [
+        (c, f, paths[u])
+        for i, (u, v) in enumerate(graph.edges)
+        if (c := (f := 1 << 8 * (n - 1 - i)) ^ paths[u] ^ paths[v])
+    ]
+
+
+# byte w -> b"1" iff w is even
+_EVEN = bytes(b"10"[w & 1] for w in range(256))
+
+
+def _row_masks(h: HPolytope, data: bytes, scale: int) -> tuple[list[int], int]:
+    """The row masks and the integer-vertex mask of the sorted points
+    scale*x in ``data``, n bytes each, scale 1 or 2: bit i of row k's mask
+    is set iff row k is tight at vertex i, and bit i of the integer mask
+    iff vertex i is integral.  Lane e holds scale*x_e <= 2, one byte per
+    vertex, vertex 0 lowest.  A row's support e_0 < e_1 < ... (at most 4
+    edges, else ValueError) packs lane e_j into bits 2j and 2j+1 of a code
+    byte per vertex, rebuilt only when the support changes (once per
+    trinion of a loop-free build_hrep).  A table maps each code byte to
+    b"1" iff the row is tight at its fields, so the translated code,
+    vertex 0 last, is the mask in base 2.  At scale 1 every vertex is
+    integral; at scale 2 vertex i is iff byte i of the OR of the lanes is
+    even, read off by one more translation."""
+    n, count = h.dim, len(data) // h.dim
     lanes = [int.from_bytes(data[e::n], "little") for e in range(n)]
     masks, support, code = [], None, b""
     for k, row in enumerate(h.rows):
@@ -236,10 +270,13 @@ def _row_masks(h: HPolytope, data: bytes, scale: int) -> list[int]:
             if len(edges) > 4:
                 raise ValueError(f"row {k} {row} has {len(edges)} edges; a support code holds 4")
             support = edges
-            code = sum(lanes[e] << 2 * j for j, e in enumerate(edges)).to_bytes(len(data) // n, "big")
+            code = sum(lanes[e] << 2 * j for j, e in enumerate(edges)).to_bytes(count, "big")
         table = _tight_table(tuple(row.a[e] for e in edges), scale * row.b)
         masks.append(int(code.translate(table), 2))
-    return masks
+    if scale == 1:
+        return masks, (1 << count) - 1
+    odd = reduce(or_, lanes).to_bytes(count, "big")
+    return masks, int(odd.translate(_EVEN), 2)
 
 
 @lru_cache(maxsize=256)
@@ -249,14 +286,18 @@ def _tight_table(coeffs: tuple[int, ...], target: int) -> bytes:
     return bytes(b"01"[dot(w) == target] for w in range(256))
 
 
-def _parity_solutions(graph: TrivalentGraph, s: int) -> tuple[int, list[int]] | None:
+def _parity_solutions(cycles: Sequence[tuple[int, int, int]], s: int) -> tuple[int, list[int]] | None:
     """The 0/1 labellings z of the edges off the cycle-space element s that
     make x = z + s/2 a vertex, as (t_join, generators), z being t_join XOR
-    a sum of generators: one pass over the fundamental cycles finds the k
-    cycles of s, the T-join and the g-k independent generators (README,
-    *The labellings*), all edge bitmasks; odd k gives None."""
+    a sum of generators: one pass over the fundamental cycles, given as
+    (mask, non-tree edge, tree path to its first end) like
+    ``graph._cycles``, finds the k cycles of s, the T-join and the g-k
+    independent generators (README, *The labellings*), all edge masks in
+    the cycles' own layout (one bit or one byte per edge; spreading is
+    linear over XOR, and whether a mask reduces to 0, and the generators'
+    span, do not depend on the pivot); odd k gives None."""
     generators, echelon, closed = [], [], []
-    for c, f, path in graph._cycles:
+    for c, f, path in cycles:
         c &= ~s
         if f & s:
             # c has no non-tree edge; reducing to 0 closes a cycle of s
@@ -333,22 +374,27 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     is a facet iff it is tight at n or more vertices and no other row is
     tight at a strict superset of those vertices.  Rows tight at the same
     n or more vertices lie on the same facet hyperplane (a repeated or
-    scaled row), so only the first of them is kept.  Only the row masks
-    ``v.row_vertices`` are read; a count other than ``len(h.rows)``, or a
-    vertex past ``v.points``, means ``v`` is another system's: ValueError.
+    scaled row), so only the first of them is kept.  The distinct masks
+    are walked in decreasing popcount, so a strict superset of a mask,
+    which has more vertices, comes before it; a mask is kept iff no kept
+    mask contains it, since whatever contains it is contained in a kept
+    one.  Only the row masks ``v.row_vertices`` are read; a count other
+    than ``len(h.rows)``, or a vertex past ``v.points``, means ``v`` is
+    another system's: ValueError.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
     masks, count = v.row_vertices, len(v.points)
     if len(masks) != len(h.rows) or max(masks, default=0) >> count:
         raise ValueError(f"{len(masks)} row masks over {count} vertices for {len(h.rows)} rows")
-    return tuple(
-        i
-        for i, mi in enumerate(masks)
-        if mi.bit_count() >= h.dim
-        and masks.index(mi) == i
-        and not any(mj != mi and mj & mi == mi for mj in masks)
-    )
+    first: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)
+    kept: list[int] = []
+    for m in sorted([m for m in first if m.bit_count() >= h.dim], key=int.bit_count, reverse=True):
+        if m not in map(m.__and__, kept):
+            kept.append(m)
+    return tuple(sorted(first[m] for m in kept))
 
 
 @dataclass(frozen=True)

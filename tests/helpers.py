@@ -8,10 +8,11 @@ the Fraction, per-ray and normalising routes that vertex enumeration, the
 lattice and the H-representation used before they kept to integers, the
 edge route the smoothness test used before it read the normal fan, the
 per-vertex scan simplicity used before it read the row masks, the
-incidence rebuild the trinion triples came from before validation kept
-them, and the contracted-graph walk the vertex labellings came from
-before they read the graph's own spanning tree) so that agreement is
-meaningful.
+all-pairs superset scan facets used before they walked the masks in
+popcount order, the incidence rebuild the trinion triples came from
+before validation kept them, and the contracted-graph walk the vertex
+labellings came from before they read the graph's own spanning tree) so
+that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ def rational_vpolytope(dim: int, vertices, incidence, n_rows: int) -> VPolytope:
     """A VPolytope holding the given rational vertices, in the given order,
     scaled by the lcm of their denominators, with vertex r's tight row
     indices ``incidence[r]`` set as bit r of those rows' vertex masks, one
-    mask for each of the system's ``n_rows`` rows."""
+    mask for each of the system's ``n_rows`` rows, and bit r of the
+    integer-vertex mask set iff every coordinate of vertex r is an
+    integer."""
     vertices = [[Fraction(x) for x in p] for p in vertices]
     scale = math.lcm(*(x.denominator for p in vertices for x in p))
     points = tuple(tuple(int(x * scale) for x in p) for p in vertices)
@@ -179,7 +182,8 @@ def rational_vpolytope(dim: int, vertices, incidence, n_rows: int) -> VPolytope:
     for r, rows in enumerate(incidence):
         for k in rows:
             row_vertices[k] |= 1 << r
-    return VPolytope(dim, scale, points, tuple(row_vertices))
+    integer = sum(1 << r for r, p in enumerate(vertices) if all(x.denominator == 1 for x in p))
+    return VPolytope(dim, scale, points, tuple(row_vertices), integer)
 
 
 def fraction_vpolytope(h: HPolytope, points) -> VPolytope:
@@ -229,6 +233,21 @@ def echelon_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
                 facets.append(i)
                 break
     return tuple(facets)
+
+
+def pairwise_facet_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
+    """The facet rows by the route facet_defining_rows took before it
+    walked the masks in popcount order: every row against every other,
+    a row kept iff it is tight at n or more vertices, is the first row
+    with its mask, and no other mask is a strict superset of it."""
+    masks = v.row_vertices
+    return tuple(
+        i
+        for i, mi in enumerate(masks)
+        if mi.bit_count() >= h.dim
+        and masks.index(mi) == i
+        and not any(mj != mi and mj & mi == mi for mj in masks)
+    )
 
 
 def per_vertex_is_simple(h: HPolytope, v: VPolytope, facet_rows) -> tuple:
@@ -396,7 +415,7 @@ def parity_labellings(graph: TrivalentGraph, s: int) -> list[int]:
     """Every labelling z that _parity_solutions describes for the
     cycle-space element s, its T-join XOR each combination of its
     generators; none when it returns None."""
-    solutions = _parity_solutions(graph, s)
+    solutions = _parity_solutions(graph._cycles, s)
     return [] if solutions is None else _span(*solutions)
 
 

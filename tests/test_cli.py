@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -326,6 +327,20 @@ class TestCubeVertexCheck:
             )
 
         monkeypatch.setattr(cli, "enumerate_vertices", dropping)
+        assert main(["analyze", "--theta", "3"]) == 3
+        assert "7 integer vertices enumerated, but 8 cube vertices" in capsys.readouterr().err
+
+    def test_cleared_integer_bit_is_contradiction(self, monkeypatch, capsys):
+        # the points and incidence are right, but the integer-vertex mask
+        # has lost one bit: the guard counts the mask, not the points
+        real = cli.enumerate_vertices
+
+        def clearing(graph, h):
+            v = real(graph, h)
+            low = v.integer_vertices & -v.integer_vertices
+            return dataclasses.replace(v, integer_vertices=v.integer_vertices ^ low)
+
+        monkeypatch.setattr(cli, "enumerate_vertices", clearing)
         assert main(["analyze", "--theta", "3"]) == 3
         assert "7 integer vertices enumerated, but 8 cube vertices" in capsys.readouterr().err
 

@@ -30,7 +30,7 @@ import pytest
 
 from graphtoric import cli, polytope
 from graphtoric.cli import analyze_graph
-from graphtoric.exactmath import integer_rank
+from graphtoric.exactmath import gf2_echelon, integer_rank
 from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice, is_lattice_polytope
 from graphtoric.polytope import (
@@ -254,18 +254,23 @@ def _cycle_blocks(graph, s):
     return blocks
 
 
-def test_parity_solutions_match_contracted_graph_walk():
-    # every cycle-space element S of multi_theta(2..9) and of 10 random
-    # graphs per genus 2..9; S with k cycles has 2^(g-k) labellings when k
-    # is even and none when k is odd
+def _parity_graphs():
+    """multi_theta(2..9) and 10 seeded random graphs per genus 2..9, at
+    least 20 of them with loops."""
     rng = random.Random(2209)
     randoms = [random_trivalent_graph(rng, 2 * g - 2) for g in range(2, 10) for _ in range(10)]
     assert sum(not graph.is_loop_free() for graph in randoms) >= 20
+    return [multi_theta(g) for g in range(2, 10)] + randoms
+
+
+def test_parity_solutions_match_contracted_graph_walk():
+    # every cycle-space element S of the parity graphs; S with k cycles
+    # has 2^(g-k) labellings when k is even and none when k is odd; and
     # the cases the reduction in fundamental-cycle coordinates decides:
     # a cycle of S owning two or more basis masks, and cycles whose
     # basis positions interleave
     shared = interleaved = 0
-    for graph in [multi_theta(g) for g in range(2, 10)] + randoms:
+    for graph in _parity_graphs():
         for s in polytope._span(0, graph.cycle_basis()):
             z = parity_labellings(graph, s)
             k = _component_count(graph, s)
@@ -278,6 +283,26 @@ def test_parity_solutions_match_contracted_graph_walk():
                 a[0] < b[-1] and b[0] < a[-1] for a, b in itertools.combinations(blocks, 2)
             )
     assert shared >= 1000 and interleaved >= 1000, (shared, interleaved)
+
+
+def test_parity_solutions_ignore_the_layout():
+    # _parity_solutions on the byte-layout cycles the vertex stage passes
+    # and on graph._cycles, for every S of the parity graphs: both give
+    # None, or the same T-join once spread and generators of one span (the
+    # reduced echelon form is unique to a span); the byte cycles are
+    # graph._cycles spread here bit by bit
+    for graph in _parity_graphs():
+        n = graph.n_edges
+        spread = lambda m: sum(1 << 8 * (n - 1 - e) for e in range(n) if m >> e & 1)
+        cycles = polytope._byte_cycles(graph)
+        assert cycles == [tuple(map(spread, c)) for c in graph._cycles], graph
+        for s in polytope._span(0, graph.cycle_basis()):
+            bits = polytope._parity_solutions(graph._cycles, s)
+            byte = polytope._parity_solutions(cycles, spread(s))
+            assert (bits is None) == (byte is None), (graph, bin(s))
+            if bits is not None:
+                assert byte[0] == spread(bits[0]), (graph, bin(s))
+                assert gf2_echelon(byte[1]) == gf2_echelon(map(spread, bits[1])), (graph, bin(s))
 
 
 @pytest.mark.parametrize("seed", HSYSTEM_SEEDS)

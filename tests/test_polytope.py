@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,6 +15,7 @@ from graphtoric.polytope import (
     NotFullDimensional,
     Row,
     VPolytope,
+    _vpolytope_from_rays,
     brute_force_vertices,
     build_hrep,
     contains,
@@ -30,6 +33,7 @@ from helpers import (
     fraction_brute_force_vertices,
     gauss_rank,
     inequality_hrep,
+    pairwise_facet_rows,
     per_vertex_is_simple,
     random_hsystem,
     random_trivalent_graph,
@@ -38,6 +42,12 @@ from helpers import (
 )
 
 F = Fraction
+
+# a centre joined to three looped trinions: scale 2, and its simple
+# origin is not its witness
+TRIPOD = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+K4 = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+DUMBBELL = TrivalentGraph(2, ((0, 0), (0, 1), (1, 1)))
 
 TET_VERTICES = {
     (F(0), F(0), F(0)),
@@ -136,8 +146,11 @@ class TestEnumerateVertices:
         h = build_hrep(theta2)
         v = enumerate_vertices(theta2, h)
         # each vertex is tight on the three rows of the faces through it;
-        # the tetrahedron's symmetry makes the two layouts the same masks
-        assert v == VPolytope(3, 1, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), (14, 13, 11, 7))
+        # the tetrahedron's symmetry makes the two layouts the same masks;
+        # at scale 1 all four vertices are integral
+        assert v == VPolytope(
+            3, 1, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)), (14, 13, 11, 7), 0b1111
+        )
         assert v.tight == (14, 13, 11, 7)
         assert v == ray_tuple_vertices(theta2, h)
 
@@ -148,10 +161,23 @@ class TestEnumerateVertices:
         assert {2, -2} <= {c for row in h.rows for c in row.a}
         v = enumerate_vertices(dumbbell, h)
         points = ((0, 0, 0), (0, 0, 2), (1, 2, 1), (2, 0, 0), (2, 0, 2))
-        # row k's vertex mask; the per-vertex row masks are its transposition
-        assert v == VPolytope(3, 2, points, (28, 27, 7, 22, 13))
+        # row k's vertex mask; the per-vertex row masks are its
+        # transposition; every vertex but vertex 2 is integral
+        assert v == VPolytope(3, 2, points, (28, 27, 7, 22, 13), 0b11011)
         assert v.tight == (22, 14, 29, 19, 11)
         assert v == ray_tuple_vertices(dumbbell, h)
+
+    def test_integer_vertices_match_gcd(self):
+        # bit i is set iff the scale divides every coordinate of points[i],
+        # and the integral vertices are the 2^g cube vertices
+        rng = random.Random(3207)
+        randoms = [random_trivalent_graph(rng, 2 * g - 2) for g in range(2, 9) for _ in range(6)]
+        assert sum(not graph.is_loop_free() for graph in randoms) >= 10
+        for graph in [multi_theta(g) for g in range(2, 11)] + randoms:
+            v = enumerate_vertices(graph, build_hrep(graph))
+            want = sum(1 << i for i, p in enumerate(v.points) if math.gcd(v.scale, *p) == v.scale)
+            assert v.integer_vertices == want, graph
+            assert want.bit_count() == 1 << graph.genus, graph
 
     @pytest.mark.parametrize("graph", ["theta2", "dumbbell", "theta4"])
     def test_points_are_tuples_of_int(self, graph, request):
@@ -237,6 +263,17 @@ class TestBruteForceOracle:
         assert enumerate_vertices(graph, h) == v
         assert fraction_brute_force_vertices(h) == v
 
+    @pytest.mark.parametrize(
+        "graph", [K4, DUMBBELL, TRIPOD, multi_theta(3)], ids=["k4", "dumbbell", "tripod", "theta3"]
+    )
+    def test_integer_vertices_agree(self, graph):
+        # the mask read from the lanes against the gcd of each brute-force point
+        h = build_hrep(graph)
+        fast, slow = enumerate_vertices(graph, h), brute_force_vertices(h)
+        assert fast.integer_vertices == slow.integer_vertices
+        assert fast.integer_vertices.bit_count() == 1 << graph.genus
+        assert fast == slow
+
     def test_agrees_on_cube(self):
         h = unit_cube(3)
         v = brute_force_vertices(h)
@@ -280,7 +317,8 @@ class TestBruteForceOracle:
             assert fraction_brute_force_vertices(h) == v
         else:
             # the Fraction oracle needs n >= 1, so the values are pinned here
-            assert v == VPolytope(dim, 1, ((),) * count, (0,) * len(h.rows))
+            # a point of R^0 is integral
+            assert v == VPolytope(dim, 1, ((),) * count, (0,) * len(h.rows), (1 << count) - 1)
 
 
 class TestFacetsAndSimplicity:
@@ -390,6 +428,50 @@ class TestFacetsAndSimplicity:
         v = dd_vertices(h)
         with pytest.raises(NotFullDimensional):
             facet_defining_rows(h, v)
+
+
+class TestFacetOrder:
+    """facet_defining_rows, which walks the distinct masks in decreasing
+    popcount, against pairwise_facet_rows, the all-pairs scan it replaced."""
+
+    def test_graph_polytopes(self):
+        rng = random.Random(3203)
+        randoms = [random_trivalent_graph(rng, 2 * rng.randint(2, 7) - 2) for _ in range(200)]
+        assert {graph.genus for graph in randoms} == set(range(2, 8))
+        assert sum(not graph.is_loop_free() for graph in randoms) >= 50
+        for graph in [multi_theta(g) for g in range(2, 9)] + randoms:
+            h = build_hrep(graph)
+            v = enumerate_vertices(graph, h)
+            assert facet_defining_rows(h, v) == pairwise_facet_rows(h, v), graph
+
+    def test_hand_built_systems(self):
+        # the 4-cube's rows 0-7, then x_0 <= 1 again (row 8, a repeat of
+        # row 0), x_0 + x_1 <= 2 (row 9, tight at the 4 corners of a square
+        # face: n of them, but strictly inside row 0's 8) and
+        # x_0 + x_1 + x_2 + x_3 <= 4 (row 10, tight at 1 corner, fewer than n)
+        cube = unit_cube(4)
+        rows = cube.rows + (cube.rows[0], Row((1, 1, 0, 0), 2), Row((1, 1, 1, 1), 4))
+        h = HPolytope(4, rows)
+        v = dd_vertices(h)
+        masks = v.row_vertices
+        assert [m.bit_count() for m in masks] == [8] * 9 + [4, 1]
+        assert masks[8] == masks[0] and masks[9] & masks[0] == masks[9] != masks[0]
+        assert facet_defining_rows(h, v) == pairwise_facet_rows(h, v) == tuple(range(8))
+        # reversed, the repeat comes first and is the one kept
+        h = HPolytope(4, rows[::-1])
+        v = dd_vertices(h)
+        assert facet_defining_rows(h, v) == pairwise_facet_rows(h, v) == tuple(range(2, 10))
+
+    def test_twelve_cube_from_rays(self):
+        # 4096 vertices; row 2e is x_e <= 1, tight where x_e = 1, and row
+        # 2e + 1 is -x_e <= 0, tight where x_e = 0
+        n = 12
+        h = unit_cube(n)
+        corners = list(itertools.product((0, 1), repeat=n))
+        tight = [sum(1 << 2 * e + 1 - x for e, x in enumerate(p)) for p in corners]
+        v = _vpolytope_from_rays(h, [(1, *p) for p in corners], tight)
+        assert v.dim == n and v.integer_vertices == (1 << 4096) - 1
+        assert facet_defining_rows(h, v) == pairwise_facet_rows(h, v) == tuple(range(2 * n))
 
 
 class TestContains:
