@@ -37,9 +37,9 @@ from .lattice_fan import (
     DelzantVerdict,
     Lattice,
     apply_loop_free_guard,
+    blocks_in_lattice,
     build_lattice,
     delzant_check,
-    is_lattice_polytope,
 )
 from .polytope import (
     HPolytope,
@@ -183,9 +183,10 @@ def analyze_graph(
     """Run every stage once, in the one place that sequences them.
 
     The 2^g cube vertices are counted from the genus and checked against
-    the popcount of ``integer_vertices``, if enumerated, which guards only
-    the byte lanes it is read from and the scale (README).  Raises
-    ConsistencyError."""
+    the popcount of the integer-vertex mask, if enumerated, which guards
+    only the byte lanes it is read from and the scale (README).  The
+    stages read the vertex set in block order; none builds the sorted
+    views.  Raises ConsistencyError."""
     t0 = time.perf_counter()
     h = build_hrep(graph)
     cube_vertex_count = 1 << graph.genus
@@ -194,7 +195,7 @@ def analyze_graph(
     facts = {}
     if not skip_vertex_enum:
         v = enumerate_vertices(graph, h)
-        integral = v.integer_vertices.bit_count()
+        integral = v.block_integer.bit_count()
         if integral != cube_vertex_count:
             raise ConsistencyError(
                 f"{integral} integer vertices enumerated, "
@@ -206,12 +207,12 @@ def analyze_graph(
         facts = dict(
             affine_dim=v.dim,
             facet_count=len(facet_rows),
-            vertex_count=len(v.points),
+            vertex_count=v.count,
             # the lcm of denominators in {1, 2} is their maximum
             max_vertex_denominator=v.scale,
             simple=verdict.simple,
             simple_witness=verdict.simple_witness,
-            lattice_polytope=is_lattice_polytope(v, lattice).ok,
+            lattice_polytope=blocks_in_lattice(v, lattice),
             smooth=verdict.smooth,
             overall=verdict.overall,
         )
@@ -303,6 +304,18 @@ def _cmd_analyze(args, parser) -> int:
     return EXIT_OK
 
 
+# what oracle compares, in the order a mismatch is named: the fields of
+# VPolytope equality, with the vertex count before the points
+_ORACLE_FIELDS = (
+    ("dim", lambda v: v.dim),
+    ("scale", lambda v: v.scale),
+    ("vertex count", lambda v: len(v.points)),
+    ("points", lambda v: v.points),
+    ("row_vertices", lambda v: v.row_vertices),
+    ("integer_vertices", lambda v: v.integer_vertices),
+)
+
+
 def _cmd_oracle(args, parser) -> int:
     graph = _load_graph(args, parser)
     n = graph.n_edges
@@ -314,9 +327,10 @@ def _cmd_oracle(args, parser) -> int:
     fast = enumerate_vertices(graph, h)
     slow = brute_force_vertices(h)
     if fast != slow:
+        field = next(name for name, get in _ORACLE_FIELDS if get(fast) != get(slow))
         raise ConsistencyError(
-            f"vertex enumeration disagrees: {len(fast.points)} vs "
-            f"{len(slow.points)} vertices, or their incidence or dimension"
+            f"vertex enumeration disagrees on {field}: {len(fast.points)} vs "
+            f"{len(slow.points)} vertices"
         )
     print(f"oracle pass: {len(fast.points)} vertices, incidence and dimension agree")
     return EXIT_OK
@@ -354,8 +368,8 @@ def _cmd_batch(args, parser) -> int:
 
 def _batch_row(g: int) -> dict:
     report, art = analyze_graph(multi_theta(g))
-    # the origin's key is 0, so it sorts first: vertex 0
-    origin_facets = sum(art.vpoly.row_vertices[i] & 1 for i in art.facet_rows)
+    # vertex 0 of the block order is the origin (S empty, T-join 0)
+    origin_facets = sum(art.vpoly.block_masks[i] & 1 for i in art.facet_rows)
     return {
         "g": g,
         "cube_vertex_count": report.cube_vertex_count,

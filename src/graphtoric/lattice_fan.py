@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactmath import det, gf2_echelon, integer_det, primitive, primitive_direction, scaled
 from .graph_core import TrivalentGraph
-from .polytope import HPolytope, VPolytope, _bits, _idot, is_simple
+from .polytope import HPolytope, VPolytope, _bits, _idot, _transpose, is_simple
 
 SMOOTH = "SMOOTH"
 SINGULAR = "SINGULAR"
@@ -90,7 +90,7 @@ def _coordinates(
     k*rows, made once, reading only the nonzero entries right of each
     diagonal."""
     steps = [
-        (i, k * row[i], [(j, k * b) for j, b in enumerate(row) if j > i and b])
+        (i, k * row[i], [(j, k * b) for j, b in enumerate(row[i + 1 :], i + 1) if b])
         for i, row in enumerate(lattice.rows)
     ]
     for p in points:
@@ -108,7 +108,7 @@ def _coordinates(
         yield c
 
 
-def _first_non_member(points: Sequence[Sequence[int]], k: int, lattice: Lattice) -> int | None:
+def _first_non_member(points: Iterable[Sequence[int]], k: int, lattice: Lattice) -> int | None:
     """The index of the first integer point y with y/k not in the lattice,
     or None: y/k is a member iff s*y has integer coordinates against
     k*s*basis = k*rows, s the lattice's scale."""
@@ -129,9 +129,19 @@ def is_lattice_polytope(v: VPolytope, lattice: Lattice) -> LatticePolytopeVerdic
     M = L* that delzant_check's choice N = L would give the vertices.
     The two differ from multi_theta(3) on, whose vertices all lie in L
     but not all in L*.  delzant_check does not call it: the answer is a
-    fact of the report, not part of the smoothness verdict."""
+    fact of the report, not part of the smoothness verdict.  Every
+    vertex is tested, in ``points`` order, so it is the oracle of
+    blocks_in_lattice, the test analyze_graph makes."""
     bad = _first_non_member(v.points, v.scale, lattice)
     return LatticePolytopeVerdict(bad is None, None if bad is None else v.vertex(bad))
+
+
+def blocks_in_lattice(v: VPolytope, lattice: Lattice) -> bool:
+    """Whether every vertex of ``v`` lies in ``lattice``, which must
+    contain Z^n, as build_lattice's L does by construction: one point is
+    tested per block of ``v`` (VPolytope.block_starts), its first, since
+    the block's other vertices differ from it by 0/1 integer vectors."""
+    return _first_non_member(map(v.block_point, v.block_starts), v.scale, lattice) is None
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +160,21 @@ class Fan:
 
 def normal_fan(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> Fan:
     """Fan of the inward normals of ``facet_rows``, the result of
-    facet_defining_rows(h, v); one maximal cone per vertex, read from the
-    vertex's ``tight`` mask restricted to those rows."""
+    facet_defining_rows(h, v); one maximal cone per vertex, in ``points``
+    order, read from the vertex's ``tight`` mask restricted to those
+    rows."""
+    return _fan(h, v.tight, facet_rows)
+
+
+def _fan(h: HPolytope, tight: Iterable[int], facet_rows: tuple[int, ...]) -> Fan:
+    """normal_fan with one cone per row mask of ``tight``, in its order."""
     ray_ids: dict[tuple[int, ...], int] = {}
     ray_of_row = {
         i: ray_ids.setdefault(primitive([-x for x in h.rows[i].a]), len(ray_ids))
         for i in facet_rows
     }
     facets = sum(1 << i for i in ray_of_row)
-    cones = tuple(
-        tuple(sorted(ray_of_row[i] for i in _bits(tight & facets))) for tight in v.tight
-    )
+    cones = tuple(tuple(sorted(ray_of_row[i] for i in _bits(t & facets))) for t in tight)
     return Fan(h.dim, tuple(ray_ids), cones)
 
 
@@ -214,26 +228,33 @@ def delzant_check(
     with c*rows = D*u, D the absolute product of the diagonal of the
     triangular rows, so every division of the forward substitution is
     exact (Cramer's rule); the determinant is over Z, and a zero one is
-    an internal fault (ConsistencyError).  The witness is the first
-    vertex, in ``points`` order, whose determinant is not +-1.
+    an internal fault (ConsistencyError).  The cones are taken in block
+    order (VPolytope.block_masks); the witness is vertex 0 if it offends,
+    being first in ``points`` too, and else the first vertex in
+    ``points`` (VPolytope.first) whose determinant is not +-1.
     Non-simple polytopes are SINGULAR immediately, with the simplicity
     witness carried through.
     """
     simplicity = is_simple(h, v, facet_rows)
     witness = witness_det = None
     if simplicity.simple:
-        fan = normal_fan(h, v, facet_rows)
+        fan = _fan(h, _transpose(v.block_masks or (0,), v.count), facet_rows)
         diagonal = abs(prod(row[i] for i, row in enumerate(lattice.rows)))
         coords = [primitive(c) for c in _coordinates(fan.rays, diagonal, 1, lattice)]
+        offending = {}
         for i, cone in enumerate(fan.maximal_cones):
             d_value = integer_det([list(coords[r]) for r in cone])
             if not d_value:
                 raise ConsistencyError(
-                    f"the facet normals at simple vertex {v.vertex(i)} are dependent"
+                    f"the facet normals at simple vertex {v.block_vertex(i)} are dependent"
                 )
             if abs(d_value) != 1:
-                witness, witness_det = v.vertex(i), d_value
-                break
+                offending[i] = d_value
+                if i == 0:
+                    break
+        if offending:
+            i = v.first(offending)
+            witness, witness_det = v.block_vertex(i), offending[i]
     smooth = simplicity.simple and witness is None
     return DelzantVerdict(
         simple=simplicity.simple,

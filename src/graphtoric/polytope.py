@@ -110,7 +110,7 @@ def contains(h: HPolytope, x: Sequence) -> bool:
     return all(_idot(row.a, y) <= row.b * k for row in h.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VPolytope:
     """Exact vertex set with incidence, kept in integers: ``points[i]`` is
     ``scale`` times vertex i, ``scale`` the lcm of all vertex denominators
@@ -128,6 +128,19 @@ class VPolytope:
     facet iff it is tight at n or more vertices, no other row is tight at
     a strict superset of them, and no earlier row is tight at exactly them
     (a repeated or scaled row names the same facet; facet_defining_rows).
+
+    Those five fields are the public views, and equality compares them.
+    ``VPolytope(dim, scale, points, row_vertices, integer_vertices)``
+    holds them as given.  The pipeline's stages read the block order
+    instead: ``count`` vertices, ``block_masks`` and ``block_integer``
+    (the row masks and the integer mask, bit i for block vertex i),
+    ``block_starts`` (the first index of each block: a block's vertices
+    differ from its first by 0/1 integer vectors), ``block_point``,
+    ``block_vertex`` and ``first``.  A polytope built from its points
+    keeps them in their own order, each vertex a block.
+    enumerate_vertices keeps its vertices in cycle-space blocks, n bytes
+    each, vertex 0 the origin; the views are built from those bytes on
+    first read, sorted once.
     """
 
     dim: int
@@ -136,13 +149,57 @@ class VPolytope:
     row_vertices: tuple[int, ...]
     integer_vertices: int
 
+    def __init__(self, dim, scale, points, row_vertices, integer_vertices):
+        row_vertices = tuple(row_vertices)
+        self.__dict__.update(
+            dim=dim, scale=scale, points=points, row_vertices=row_vertices,
+            integer_vertices=integer_vertices, count=len(points), block_masks=row_vertices,
+            block_integer=integer_vertices, block_starts=range(len(points)), _h=None, _data=None,
+        )
+
+    @classmethod
+    def _from_blocks(cls, dim, scale, h, data, masks, integer, starts) -> "VPolytope":
+        """The polytope of ``h``'s vertices given in block order as
+        ``data``, n bytes per point, vertex 0 the origin, with their row
+        masks and integer mask in that order; the views wait for a
+        reader."""
+        v = cls.__new__(cls)
+        v.__dict__.update(
+            dim=dim, scale=scale, count=len(data) // h.dim, block_masks=tuple(masks),
+            block_integer=integer, block_starts=tuple(starts), _h=h, _data=data,
+        )
+        return v
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*[iter(self._sorted)] * self._h.dim))
+
+    @cached_property
+    def row_vertices(self) -> tuple[int, ...]:
+        return tuple(self._sorted_masks[0])
+
+    @cached_property
+    def integer_vertices(self) -> int:
+        return self._sorted_masks[1]
+
+    @cached_property
+    def _sorted(self) -> bytes:
+        """The block-ordered points, sorted: n bytes scale*x_e < 256 per
+        point compare as the points do."""
+        data, n = self._data, self._h.dim
+        return b"".join(sorted([data[i : i + n] for i in range(0, len(data), n)]))
+
+    @cached_property
+    def _sorted_masks(self) -> tuple[list[int], int]:
+        return _row_masks(self._h, self._sorted, self.scale)
+
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(map(self._fraction, p)) for p in self.points)
 
     @cached_property
     def tight(self) -> tuple[int, ...]:
-        return tuple(_transpose(self.row_vertices or (0,), len(self.points)))
+        return tuple(_transpose(self.row_vertices or (0,), self.count))
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -150,6 +207,23 @@ class VPolytope:
 
     def vertex(self, i: int) -> tuple[Fraction, ...]:
         return tuple(map(self._fraction, self.points[i]))
+
+    def block_vertex(self, i: int) -> tuple[Fraction, ...]:
+        """Vertex i of the block order."""
+        return tuple(map(self._fraction, self.block_point(i)))
+
+    def first(self, indices: Iterable[int]) -> int:
+        """Of some block indices, the one whose vertex comes first in
+        ``points``: the least index when the block order is the points
+        order, else the index of the least point."""
+        return min(indices, key=None if self._data is None else self.block_point)
+
+    def block_point(self, i: int) -> Sequence[int]:
+        """scale times vertex i of the block order, as ints."""
+        if self._data is None:
+            return self.points[i]
+        n = self._h.dim
+        return self._data[i * n : i * n + n]
 
     @cached_property
     def _fraction(self) -> Callable[[int], Fraction]:
@@ -171,19 +245,16 @@ def _vpolytope_from_rays(h: HPolytope, rays: Sequence[tuple[int, ...]], tight: S
     points = [tuple(c * (scale // ray[0]) for c in ray[1:]) for ray in rays]
     points, tight = zip(*sorted(zip(points, tight)))
     integer = sum(1 << i for i, p in enumerate(points) if gcd(scale, *p) == scale)
-    return _vpolytope(h, scale, points, _transpose(tight, len(h.rows)), integer)
+    row_vertices = _transpose(tight, len(h.rows))
+    return VPolytope(_dimension(h, row_vertices, len(points)), scale, points, row_vertices, integer)
 
 
-def _vpolytope(
-    h: HPolytope, scale: int, points: tuple, row_vertices: Sequence[int], integer_vertices: int
-) -> VPolytope:
-    """The V-polytope of the sorted, non-empty points scale*x with vertex
-    masks ``row_vertices``, one per row of ``h``; its dimension is n minus
+def _dimension(h: HPolytope, row_vertices: Sequence[int], count: int) -> int:
+    """The affine dimension of ``count`` > 0 vertices of ``h`` with vertex
+    masks ``row_vertices``, one per row, in any one vertex order: n minus
     the rank of the implicit equalities, the rows tight at every vertex."""
-    every = (1 << len(points)) - 1
-    equalities = [row.a for row, mask in zip(h.rows, row_vertices) if mask == every]
-    dim = h.dim - integer_rank(equalities)
-    return VPolytope(dim, scale, points, tuple(row_vertices), integer_vertices)
+    every = (1 << count) - 1
+    return h.dim - integer_rank([row.a for row, mask in zip(h.rows, row_vertices) if mask == every])
 
 
 def _bits(mask: int) -> list[int]:
@@ -206,29 +277,46 @@ def enumerate_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
     S = {e : x_e = 1/2} is in the cycle space and the other coordinates
     are a labelling z that _parity_solutions reads off the fundamental
     cycles for S (README).  The scale is 2 if some S is not empty, else 1.
-    Vertex x is one integer key whose byte e from the top is scale*x_e, so
-    sorted keys are sorted points.  The edge masks are kept in that byte
-    layout throughout (_byte_cycles), so S, the T-joins and the generators
-    come out as key bytes; the row masks and the integer vertices come
-    from _row_masks."""
+    Vertex x is an n-byte row whose byte e is scale*x_e.  The edge masks
+    are kept in that byte layout throughout (_byte_cycles), so S, the
+    T-joins and the generators come out as row bytes, and each passing S
+    is one block of rows (_block), in cycle-space order: the first block,
+    S empty with T-join 0, starts with the origin.  The row masks and the
+    integer vertices come from _row_masks, in that block order."""
     n = h.dim
     if n != graph.n_edges:
         raise ValueError(f"system has dimension {n}, the graph {graph.n_edges} edges")
     cycles = _byte_cycles(graph)
     found = [(s, p) for s in _span(0, [c for c, _, _ in cycles]) if (p := _parity_solutions(cycles, s))]
     scale = 2 if any(s for s, _ in found) else 1
-    keys, z_shift = [], scale - 1  # the byte of edge e holds s_e + scale*z_e
-    for s, (t, gens) in found:
-        keys += _span(s | t << z_shift, [c << z_shift for c in gens])
-    keys.sort()
-    data = b"".join([k.to_bytes(n, "big") for k in keys])
-    del keys  # one int per vertex, not needed to cut the points
-    row_vertices, integer = _row_masks(h, data, scale)  # its lanes are freed before the points are cut
-    return _vpolytope(h, scale, tuple(zip(*[iter(data)] * n)), row_vertices, integer)
+    z_shift = scale - 1  # the byte of edge e holds s_e + scale*z_e
+    data = b"".join([
+        _block(s | t << z_shift, [c << z_shift for c in gens], n) for s, (t, gens) in found
+    ])
+    starts = itertools.accumulate([1 << len(gens) for _, (_, gens) in found[:-1]], initial=0)
+    masks, integer = _row_masks(h, data, scale)
+    dim = _dimension(h, masks, len(data) // n)
+    return VPolytope._from_blocks(dim, scale, h, data, masks, integer, starts)
+
+
+def _block(base: int, generators: Sequence[int], n: int) -> bytes:
+    """base XOR each GF(2) combination of the generators, in _span order,
+    as n-byte big-endian rows: each generator doubles the rows, the old
+    ones first, then a copy with the generator, repeated once per row by
+    doubling, XORed in."""
+    block, width = base, 8 * n
+    for c in generators:
+        step = 8 * n
+        while step < width:
+            c |= c << step
+            step *= 2
+        block = block << width | block ^ c
+        width *= 2
+    return block.to_bytes(width // 8, "big")
 
 
 def _byte_cycles(graph: TrivalentGraph) -> list[tuple[int, int, int]]:
-    """``graph._cycles`` in the key layout: bit e of each edge mask moves
+    """``graph._cycles`` in the row layout: bit e of each edge mask moves
     to the lowest bit of byte e, counted from the top of n bytes.  Only
     the 2g-2 tree paths are spread; the map is linear over XOR, so each
     cycle is its non-tree byte XOR the paths to its ends (a tree edge's
@@ -249,8 +337,8 @@ _EVEN = bytes(b"10"[w & 1] for w in range(256))
 
 
 def _row_masks(h: HPolytope, data: bytes, scale: int) -> tuple[list[int], int]:
-    """The row masks and the integer-vertex mask of the sorted points
-    scale*x in ``data``, n bytes each, scale 1 or 2: bit i of row k's mask
+    """The row masks and the integer-vertex mask of the points scale*x
+    in ``data``, n bytes each, scale 1 or 2: bit i of row k's mask
     is set iff row k is tight at vertex i, and bit i of the integer mask
     iff vertex i is integral.  Lane e holds scale*x_e <= 2, one byte per
     vertex, vertex 0 lowest.  A row's support e_0 < e_1 < ... (at most 4
@@ -265,13 +353,13 @@ def _row_masks(h: HPolytope, data: bytes, scale: int) -> tuple[list[int], int]:
     lanes = [int.from_bytes(data[e::n], "little") for e in range(n)]
     masks, support, code = [], None, b""
     for k, row in enumerate(h.rows):
-        edges = [e for e, c in enumerate(row.a) if c]
+        edges = list(itertools.compress(range(n), row.a))
         if edges != support:
             if len(edges) > 4:
                 raise ValueError(f"row {k} {row} has {len(edges)} edges; a support code holds 4")
             support = edges
             code = sum(lanes[e] << 2 * j for j, e in enumerate(edges)).to_bytes(count, "big")
-        table = _tight_table(tuple(row.a[e] for e in edges), scale * row.b)
+        table = _tight_table(tuple(filter(None, row.a)), scale * row.b)  # the support's coefficients
         masks.append(int(code.translate(table), 2))
     if scale == 1:
         return masks, (1 << count) - 1
@@ -378,13 +466,14 @@ def facet_defining_rows(h: HPolytope, v: VPolytope) -> tuple[int, ...]:
     are walked in decreasing popcount, so a strict superset of a mask,
     which has more vertices, comes before it; a mask is kept iff no kept
     mask contains it, since whatever contains it is contained in a kept
-    one.  Only the row masks ``v.row_vertices`` are read; a count other
-    than ``len(h.rows)``, or a vertex past ``v.points``, means ``v`` is
-    another system's: ValueError.
+    one.  Only the row masks are read, in block order (``v.block_masks``;
+    the test does not depend on the vertex order); a count other than
+    ``len(h.rows)``, or a vertex past ``v.count``, means ``v`` is another
+    system's: ValueError.
     """
     if v.dim != h.dim:
         raise NotFullDimensional(f"polytope has dimension {v.dim} in ambient {h.dim}")
-    masks, count = v.row_vertices, len(v.points)
+    masks, count = v.block_masks, v.count
     if len(masks) != len(h.rows) or max(masks, default=0) >> count:
         raise ValueError(f"{len(masks)} row masks over {count} vertices for {len(h.rows)} rows")
     first: dict[int, int] = {}
@@ -409,15 +498,42 @@ class SimplicityVerdict:
 
 def is_simple(h: HPolytope, v: VPolytope, facet_rows: tuple[int, ...]) -> SimplicityVerdict:
     """Whether every vertex lies on exactly n of ``facet_rows`` (counted
-    once each), the result of facet_defining_rows(h, v): vertex i's count,
-    bit i of those rows' vertex masks summed, is read up to the first that
-    is not n (for a loop-free graph of genus >= 3, the origin, vertex 0)."""
-    masks = [v.row_vertices[k] for k in set(facet_rows)]
-    for i in range(len(v.points)):
-        count = sum(m >> i & 1 for m in masks)
-        if count != h.dim:
-            return SimplicityVerdict(False, v.vertex(i), count)
-    return SimplicityVerdict(True)
+    once each), the result of facet_defining_rows(h, v).  Vertex 0 of the
+    block order, first in ``points`` too, is counted first, bit 0 of those
+    rows' vertex masks summed; for a loop-free graph of genus >= 3 it is
+    the origin, and it offends.  Only when it passes are all the counts
+    taken at once (_count_is), and the witness is the first offending
+    vertex in ``points`` (VPolytope.first)."""
+    masks = [v.block_masks[k] for k in set(facet_rows)]
+    n = h.dim
+    if v.count and (at_origin := sum(m & 1 for m in masks)) != n:
+        return SimplicityVerdict(False, v.block_vertex(0), at_origin)
+    offending = (1 << v.count) - 1 & ~_count_is(masks, n)
+    if not offending:
+        return SimplicityVerdict(True)
+    i = v.first(_bits(offending))
+    return SimplicityVerdict(False, v.block_vertex(i), sum(m >> i & 1 for m in masks))
+
+
+def _count_is(masks: Sequence[int], n: int) -> int:
+    """The mask of the positions i at which exactly n of the masks have
+    bit i set: the counts are kept bit-sliced, plane j holding bit j of
+    every position's count, and each mask is one ripple-carry add."""
+    planes: list[int] = []
+    for carry in masks:
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    if n >> len(planes):
+        return 0  # no count reaches n
+    equal = -1
+    for j, plane in enumerate(planes):
+        equal &= plane if n >> j & 1 else ~plane
+    return equal
 
 
 # ---------------------------------------------------------------------------

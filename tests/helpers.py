@@ -31,7 +31,10 @@ from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
     VPolytope,
+    _byte_cycles,
+    _dimension,
     _parity_solutions,
+    _row_masks,
     _span,
     _transpose,
     _vpolytope_from_rays,
@@ -260,6 +263,53 @@ def per_vertex_is_simple(h: HPolytope, v: VPolytope, facet_rows) -> tuple:
         if count != h.dim:
             return False, v.vertex(i), count
     return True, None, None
+
+
+def walking_is_simple(h: HPolytope, v: VPolytope, facet_rows) -> tuple:
+    """Simplicity by the route is_simple took before it counted bit-sliced:
+    vertex by vertex in ``points`` order, bit i of each facet row's
+    sorted vertex mask summed, up to the first count that is not n.
+    Returns (simple, witness, witness_facets)."""
+    masks = [v.row_vertices[k] for k in set(facet_rows)]
+    for i in range(len(v.points)):
+        count = sum(m >> i & 1 for m in masks)
+        if count != h.dim:
+            return False, v.vertex(i), count
+    return True, None, None
+
+
+def sorted_key_vertices(graph: TrivalentGraph, h: HPolytope) -> VPolytope:
+    """The graph polytope's vertices by the route enumerate_vertices took
+    before it kept cycle-space blocks: one integer key per vertex, byte e
+    from the top holding scale*x_e, expanded per S from its T-join and
+    generators (_span), sorted, which sorts the points, and joined into
+    one buffer; the points are the buffer cut into n-tuples, and the row
+    masks and integer mask are _row_masks of the sorted buffer."""
+    n = h.dim
+    cycles = _byte_cycles(graph)
+    found = [(s, p) for s in _span(0, [c for c, _, _ in cycles]) if (p := _parity_solutions(cycles, s))]
+    scale = 2 if any(s for s, _ in found) else 1
+    keys, z_shift = [], scale - 1
+    for s, (t, gens) in found:
+        keys += _span(s | t << z_shift, [c << z_shift for c in gens])
+    keys.sort()
+    data = b"".join([k.to_bytes(n, "big") for k in keys])
+    row_vertices, integer = _row_masks(h, data, scale)
+    points = tuple(zip(*[iter(data)] * n))
+    return VPolytope(_dimension(h, row_vertices, len(points)), scale, points, row_vertices, integer)
+
+
+def points_order(v: VPolytope) -> list[int]:
+    """The block indices of v's vertices in ``points`` order: the argsort
+    of the block-ordered points."""
+    return sorted(range(v.count), key=lambda i: tuple(v.block_point(i)))
+
+
+def permuted_mask(mask: int, order) -> int:
+    """The mask whose bit j is bit order[j] of ``mask``, for a mask
+    below 2**len(order)."""
+    digits = format(mask, f"0{len(order)}b")[::-1]  # bit i is digit i
+    return int("".join([digits[i] for i in reversed(order)]) or "0", 2)
 
 
 def homogeneous_rows(h: HPolytope) -> list[tuple[int, ...]]:

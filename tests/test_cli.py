@@ -309,6 +309,37 @@ class TestOracle:
         assert main(["oracle", "--theta", "2"]) == 3
         assert "disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, named",
+        [("integer_vertices", "integer_vertices"), ("row_vertices", "row_vertices"),
+         ("points", "vertex count"), ("scale", "scale")],
+    )
+    def test_mismatch_names_the_first_field(self, field, named, tmp_path, monkeypatch, capsys):
+        # on the tripod, looped at scale 2 with 8 of 14 vertices integral:
+        # one bit cleared, or the last vertex dropped, or the scale doubled,
+        # and the message names that field, not just the vertex counts
+        path = tmp_path / "tripod.graph"
+        path.write_text("0 1\n0 2\n0 3\n1 1\n2 2\n3 3\n")
+        real = cli.enumerate_vertices
+
+        def faulty(graph, h):
+            v = real(graph, h)
+            value = getattr(v, field)
+            if field == "points":
+                value = value[:-1]
+            elif field == "scale":
+                value *= 2
+            elif field == "row_vertices":
+                value = (value[0] & value[0] - 1,) + value[1:]
+            else:
+                value &= value - 1
+            return dataclasses.replace(v, **{field: value})
+
+        monkeypatch.setattr(cli, "enumerate_vertices", faulty)
+        assert main(["oracle", str(path)]) == 3
+        counts = "13 vs 14" if field == "points" else "14 vs 14"
+        assert f"disagrees on {named}: {counts} vertices" in capsys.readouterr().err
+
 
 class TestCubeVertexCheck:
     def test_missing_cube_vertex_is_contradiction(self, monkeypatch, capsys):
@@ -436,8 +467,13 @@ STAGES = (
     "enumerate_vertices",
     "facet_defining_rows",
     "delzant_check",
+    "blocks_in_lattice",
     "is_lattice_polytope",
 )
+# functions no stage calls: the cube vertices are counted from the genus,
+# and is_lattice_polytope, which tests every vertex, is the oracle of
+# blocks_in_lattice
+UNCALLED = dict.fromkeys(("cube_vertex_labellings", "is_lattice_polytope"), 0)
 
 
 def _counting(calls, name, real):
@@ -463,17 +499,18 @@ def stage_calls(monkeypatch):
 
 class TestStagesRunOnce:
     """Every stage once per graph; the cube vertices are counted from the
-    genus, so cube_vertex_labellings is never called.  is_lattice_polytope
+    genus, so cube_vertex_labellings is never called.  blocks_in_lattice
     is a stage of its own, once per enumerated graph: delzant_check does
-    not call it, and skipping the vertices skips it."""
+    not call it, and skipping the vertices skips it.  Its oracle
+    is_lattice_polytope is never called."""
 
     def test_batch(self, stage_calls, capsys):
         assert main(["batch", "2", "4", "--json"]) == 0
-        assert stage_calls == {**dict.fromkeys(STAGES, 3), "cube_vertex_labellings": 0}
+        assert stage_calls == {**dict.fromkeys(STAGES, 3), **UNCALLED}
 
     def test_analyze_graph(self, stage_calls, theta3):
         analyze_graph(theta3)
-        assert stage_calls == {**dict.fromkeys(STAGES, 1), "cube_vertex_labellings": 0}
+        assert stage_calls == {**dict.fromkeys(STAGES, 1), **UNCALLED}
 
     def test_skip_vertex_enum(self, stage_calls, theta3):
         analyze_graph(theta3, skip_vertex_enum=True)
@@ -485,7 +522,7 @@ class TestStagesRunOnce:
         b = bundles["theta2"]
         assert lattice_fan.delzant_check(b.hrep, b.vpoly, b.lattice, b.facet_rows).smooth
         assert stage_calls["delzant_check"] == 1
-        assert stage_calls["is_lattice_polytope"] == 0
+        assert stage_calls["blocks_in_lattice"] == stage_calls["is_lattice_polytope"] == 0
 
 
 class TestReportValue:

@@ -15,7 +15,10 @@ and ray_tuple_vertices, the per-vertex ray route the edge columns
 replaced, is compared field for field up to genus 10.  The rows' vertex
 masks are checked against per-vertex masks transposed by a loop over
 bits, and analyze_graph on singular graphs must run with no
-transposition at all.
+transposition at all.  The block order the vertex stage keeps is checked
+against sorted_key_vertices, the sorted-key route it replaced, point by
+point and mask by mask after the permutation, and analyze_graph must
+run without reading a sorted view.
 """
 
 import dataclasses
@@ -32,7 +35,14 @@ from graphtoric import cli, polytope
 from graphtoric.cli import analyze_graph
 from graphtoric.exactmath import gf2_echelon, integer_rank
 from graphtoric.graph_core import TrivalentGraph, _tree_paths, multi_theta
-from graphtoric.lattice_fan import SINGULAR, SMOOTH, build_lattice, is_lattice_polytope
+from graphtoric.lattice_fan import (
+    SINGULAR,
+    SMOOTH,
+    blocks_in_lattice,
+    build_lattice,
+    is_lattice_point,
+    is_lattice_polytope,
+)
 from graphtoric.polytope import (
     HPolytope,
     NotFullDimensional,
@@ -54,9 +64,12 @@ from helpers import (
     homogeneous_rows,
     parity_labellings,
     per_bit_row_index,
+    permuted_mask,
+    points_order,
     random_trivalent_graph,
     ray_tuple_vertices,
     redundant_hsystem,
+    sorted_key_vertices,
     supporting_hsystem,
 )
 
@@ -182,10 +195,11 @@ def test_row_layout_matches_per_vertex_oracles():
 
 
 def test_sorted_keys_decode_to_sorted_points():
-    # the key-order lemma: byte e of a vertex's key, from the most
-    # significant end, is scale*x_e < 256, so the sorted keys decode to
-    # the points in tuple order; here each key is built coordinate by
-    # coordinate from the labellings, not by the vertex stage's spread
+    # the key-order lemma behind the sorted views: byte e of a vertex's
+    # key, from the most significant end, is scale*x_e < 256, so the
+    # sorted keys, or n-byte rows, decode to the points in tuple order;
+    # here each key is built coordinate by coordinate from the
+    # labellings, not by the vertex stage's spread
     for graph in _layout_graphs():
         n = graph.n_edges
         found = [
@@ -386,6 +400,99 @@ def test_analyze_reads_integer_points_only(graph, overall, monkeypatch):
     assert report.overall == overall
     offender = is_lattice_polytope(art.vpoly, art.lattice).offending
     assert report.lattice_polytope == (offender is None) == art.verdict.smooth == (overall == SMOOTH)
+
+
+TRIPOD = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+SORTED_VIEWS = ("points", "vertices", "row_vertices", "integer_vertices", "tight", "incidence")
+
+
+@pytest.mark.parametrize(
+    "graph", [multi_theta(4), multi_theta(2), TRIPOD], ids=["theta4", "theta2", "tripod"]
+)
+def test_analyze_reads_no_sorted_view(graph, monkeypatch):
+    # every stage reads the block order: theta4's origin is its witness,
+    # theta2 reaches the determinant step, and the tripod's simple origin
+    # sends is_simple to the bit-sliced counts; the reports are those
+    # made with the views readable
+    def drop_elapsed(report):
+        return dataclasses.replace(report, elapsed_ms=0)
+
+    expected = drop_elapsed(analyze_graph(graph)[0])
+
+    def unread(name):
+        def read(v):
+            raise AssertionError(f"analyze_graph read VPolytope.{name}")
+
+        return property(read)
+
+    for name in SORTED_VIEWS:
+        monkeypatch.setattr(VPolytope, name, unread(name))
+    report, art = analyze_graph(graph)
+    assert drop_elapsed(report) == expected
+    assert not {"_sorted", *SORTED_VIEWS} & art.vpoly.__dict__.keys()
+
+
+def _block_graphs():
+    """multi_theta(2..10) and 200 seeded random graphs of genus 2-8, at
+    least 50 of them with loops."""
+    rng = random.Random(3301)
+    randoms = [random_trivalent_graph(rng, 2 * rng.randint(2, 8) - 2) for _ in range(200)]
+    assert {graph.genus for graph in randoms} == set(range(2, 9))
+    assert sum(not graph.is_loop_free() for graph in randoms) >= 50
+    return [multi_theta(g) for g in range(2, 11)] + randoms
+
+
+def test_block_order_matches_sorted_keys():
+    # the sorted-key route against the block order: the block-ordered
+    # points, taken in their argsort, are its points, and each row mask
+    # and the integer mask, permuted the same way, are its masks; the
+    # views equal it too, and block vertex 0 is the origin
+    for graph in _block_graphs():
+        h = build_hrep(graph)
+        v = enumerate_vertices(graph, h)
+        oracle = sorted_key_vertices(graph, h)
+        assert tuple(v.block_point(0)) == (0,) * h.dim, graph
+        order = points_order(v)
+        assert [tuple(v.block_point(i)) for i in order] == list(oracle.points), graph
+        assert tuple(permuted_mask(m, order) for m in v.block_masks) == oracle.row_vertices, graph
+        assert permuted_mask(v.block_integer, order) == oracle.integer_vertices, graph
+        assert (v.dim, v.scale, v.count) == (oracle.dim, oracle.scale, len(oracle.points))
+        assert v == oracle, graph
+
+
+def test_block_starts_mark_spans():
+    # each block is its first point XOR the span of the generators read
+    # off rows 2^j of the block, so every point of it differs from the
+    # first by a 0/1 vector, and the blocks tile the block order
+    for graph in _block_graphs()[:60]:
+        v = enumerate_vertices(graph, build_hrep(graph))
+        ends = [*v.block_starts[1:], v.count]
+        assert v.block_starts[0] == 0 and all(a < b for a, b in zip(v.block_starts, ends))
+        for start, end in zip(v.block_starts, ends):
+            size = end - start
+            assert size & size - 1 == 0, graph
+            row = lambda i: int.from_bytes(v.block_point(start + i), "big")
+            gens = [row(1 << j) ^ row(0) for j in range(size.bit_length() - 1)]
+            assert [row(i) for i in range(size)] == polytope._span(row(0), gens), graph
+            first = v.block_point(start)
+            for i in range(start, end):
+                assert all(abs(a - b) == v.scale or a == b for a, b in zip(v.block_point(i), first))
+
+
+def test_blocks_in_lattice_matches_per_vertex_test():
+    # build_lattice's L holds every unit vector, so one point per block
+    # decides; is_lattice_polytope tests every vertex
+    verdicts = []
+    for graph in _block_graphs():
+        h = build_hrep(graph)
+        v = enumerate_vertices(graph, h)
+        lattice = build_lattice(graph)
+        n = graph.n_edges
+        assert all(is_lattice_point([int(i == j) for j in range(n)], lattice) for i in range(n))
+        got = blocks_in_lattice(v, lattice)
+        assert got == is_lattice_polytope(v, lattice).ok, graph
+        verdicts.append(got)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 100
 
 
 LOOPED_GENUS3 = TrivalentGraph(4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3)))
