@@ -175,16 +175,31 @@ def primitive_direction(v: Sequence) -> tuple[int, ...]:
 def gf2_echelon(masks: Iterable[int]) -> dict[int, int]:
     """The reduced GF(2) echelon basis of the span of some bitmasks, as
     pivot -> mask: the pivot is the mask's lowest set bit, and every other
-    mask of the basis is clear there.  The form is unique to the span."""
+    mask of the basis is clear there.  The form is unique to the span, so
+    it is reached in two passes: each mask is reduced by its lowest bit
+    while that bit is a pivot, and the rows are then back-substituted
+    once, from the highest pivot down."""
     echelon: dict[int, int] = {}
     for mask in masks:
-        for pivot, other in echelon.items():
-            if mask >> pivot & 1:
-                mask ^= other
-        if mask:
+        while mask:
             pivot = (mask & -mask).bit_length() - 1
-            echelon = {q: m ^ mask if m >> pivot & 1 else m for q, m in echelon.items()}
-            echelon[pivot] = mask
+            row = echelon.get(pivot)
+            if row is None:
+                echelon[pivot] = mask
+                break
+            mask ^= row
+    # a row above p is clear at every other pivot, so adding it to p's row
+    # clears its own pivot there and no other
+    above = 0
+    for pivot in sorted(echelon, reverse=True):
+        mask = echelon[pivot]
+        hits = mask & above
+        while hits:
+            low = hits & -hits
+            mask ^= echelon[low.bit_length() - 1]
+            hits ^= low
+        echelon[pivot] = mask
+        above |= 1 << pivot
     return echelon
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 from typing import Iterable, NamedTuple
 
 
@@ -69,9 +70,7 @@ class TrivalentGraph:
     _triples: tuple[TrinionTriple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
+        object.__setattr__(self, "edges", _integer_edges(self.edges))
         if self.n_vertices <= 0:
             raise GraphError("graph has no vertices")
         # Degrees live in a dict, so a huge vertex id costs no memory.  The
@@ -137,10 +136,22 @@ def validate(edges: Iterable[tuple[int, int]]) -> TrivalentGraph:
     missing from the edge list surfaces as DegreeViolation(v, 0).  For an
     explicit vertex count, build ``TrivalentGraph(n, edges)`` directly.
     """
-    edge_list = tuple((int(u), int(v)) for u, v in edges)
+    edge_list = _integer_edges(edges)
     if not edge_list:
         raise GraphError("graph has no edges")
     return TrivalentGraph(max(max(u, v) for u, v in edge_list) + 1, edge_list)
+
+
+def _integer_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Endpoint pairs as int pairs, by operator.index: a float, a string or
+    any other non-integer endpoint is a GraphError, never truncated."""
+    pairs = []
+    for u, v in edges:
+        try:
+            pairs.append((index(u), index(v)))
+        except TypeError:
+            raise GraphError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
+    return tuple(pairs)
 
 
 def multi_theta(g: int) -> TrivalentGraph:

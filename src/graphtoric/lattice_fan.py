@@ -62,18 +62,24 @@ class Lattice:
         return Fraction(abs(prod(row[i] for i, row in enumerate(self.rows))), self.scale**self.dim)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits as 0/1 bytes
+
+
 def build_lattice(graph: TrivalentGraph) -> Lattice:
     """Lattice of a trivalent graph: Z^n plus the trinion half-sums.  Twice
     its basis is c at the pivot (lowest bit) of each mask c of gf2_echelon
-    of the trinion parity masks, and 2e_j elsewhere."""
+    of the trinion parity masks, and 2e_j elsewhere.  A loop's edge is in
+    its triple twice, so it cancels from the mask."""
     n = graph.n_edges
-    echelon = gf2_echelon(
-        sum(1 << i for i in t.edges if t.edges.count(i) == 1)  # loops drop out
-        for t in graph.trinion_triples()
+    echelon = gf2_echelon(1 << a ^ 1 << b ^ 1 << c for _, (a, b, c) in graph.trinion_triples())
+    digits = f"0{n}b"
+    unit = (0,) * (n - 1) + (2,) + (0,) * (n - 1)  # row j is unit[n-1-j : 2n-1-j]
+    rows = tuple(
+        tuple(format(echelon[j], digits)[::-1].encode().translate(_BIT_BYTES))
+        if j in echelon else unit[n - 1 - j : 2 * n - 1 - j]
+        for j in range(n)
     )
-    rows = [tuple(echelon[j] >> i & 1 if j in echelon else 2 * (i == j) for i in range(n))
-            for j in range(n)]
-    return Lattice(n, 2, tuple(rows))
+    return Lattice(n, 2, rows)
 
 
 def is_lattice_point(x: Sequence, lattice: Lattice) -> bool:

@@ -78,27 +78,34 @@ def _normalize_row(a: Sequence, b) -> Row | None:
     return Row(tuple(x // g for x in ints), rb // g)
 
 
+# The pair-of-pants tetrahedron as (signs on the triple, right-hand side):
+# x1 + x2 + x3 <= 2, then x_pos - (the other two) <= 0 for each pos.
+_TETRAHEDRON = (
+    ((1, 1, 1), 2),
+    ((1, -1, -1), 0),
+    ((-1, 1, -1), 0),
+    ((-1, -1, 1), 0),
+)
+
+
 def build_hrep(graph: TrivalentGraph) -> HPolytope:
     """H-representation of the moment polytope of a trivalent graph.
 
-    Emits the four tetrahedron rows per trinion triple, with a loop's
-    repeated index summed into a single coefficient.  Each row has a +-1
-    entry, so it is primitive; duplicates (a multi-edge gives some twice)
-    merge, in first-seen order.
+    Emits the four tetrahedron rows per trinion triple (_TETRAHEDRON),
+    with a loop's repeated index summed into a single coefficient.  Each
+    row has a +-1 entry, so it is primitive; duplicates (a multi-edge
+    gives some twice) merge, in first-seen order.
     """
     n = graph.n_edges
+    zero = [0] * n
     rows: dict[Row, None] = {}
-    for triple in graph.trinion_triples():
-        coeffs = [0] * n
-        for index in triple.edges:
-            coeffs[index] += 1
-        rows[Row(tuple(coeffs), 2)] = None
-        for pos in range(3):
-            # the row x_pos - (the other two) <= 0, i.e. the triangle inequality
-            row = [0] * n
-            for q, index in enumerate(triple.edges):
-                row[index] += 1 if q == pos else -1
-            rows[Row(tuple(row), 0)] = None
+    for _, (a, b, c) in graph.trinion_triples():
+        for (sa, sb, sc), rhs in _TETRAHEDRON:
+            row = zero.copy()
+            row[a] += sa
+            row[b] += sb
+            row[c] += sc
+            rows[Row(tuple(row), rhs)] = None
     return HPolytope(n, tuple(rows))
 
 

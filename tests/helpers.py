@@ -66,6 +66,17 @@ def random_trivalent_graph(rng: random.Random, n_vertices: int) -> TrivalentGrap
             continue
 
 
+def large_random_graphs(seed: int, count: int = 30) -> list[TrivalentGraph]:
+    """``count`` seeded random trivalent multigraphs of genus 8 to 12, the
+    sizes the cheap-facts benchmark times; at least five have a loop and
+    at least five a multi-edge (checked here, so a seed without them fails)."""
+    rng = random.Random(seed)
+    graphs = [random_trivalent_graph(rng, 2 * rng.randint(8, 12) - 2) for _ in range(count)]
+    assert sum(not g.is_loop_free() for g in graphs) >= 5
+    assert sum(len(set(g.edges)) < len(g.edges) for g in graphs) >= 5
+    return graphs
+
+
 def incidence_triples(graph: TrivalentGraph) -> tuple[TrinionTriple, ...]:
     """The trinion triples rebuilt from the edge list: each vertex's sorted
     incident edge indices (a loop's twice), in the vertex order that

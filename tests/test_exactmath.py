@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +198,25 @@ class TestGf2Echelon:
     def test_empty_and_zero_input(self, masks):
         assert gf2_echelon(masks) == {}
         self._check(masks, 1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_form_is_unique_to_the_span(self, seed):
+        # gf2_echelon reduces forward by the lowest bit and back-substitutes
+        # once, which is sound because the reduced form depends only on the
+        # span: a shuffled list with duplicates, zeros and sums of earlier
+        # masks spans the same space and must give the same dict
+        rng = random.Random(1000 + seed)
+        width = rng.randint(1, 40)
+        masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(1, 30))]
+        mixed = masks + rng.choices(masks, k=5) + [0] * 3
+        rng.shuffle(mixed)
+        for _ in range(8):
+            i = rng.randint(1, len(mixed))
+            mixed.insert(i, reduce(xor, rng.sample(mixed[:i], rng.randint(1, i)), 0))
+        echelon = gf2_echelon(masks)
+        assert gf2_echelon(mixed) == echelon
+        assert gf2_echelon(reversed(list(echelon.values()))) == echelon
+        self._check(mixed, width)
 
     def _check(self, masks, width):
         echelon = gf2_echelon(masks)

@@ -3,6 +3,7 @@ import functools
 import operator
 import random
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 
@@ -95,6 +96,37 @@ class TestValidation:
     def test_endpoint_out_of_range(self):
         with pytest.raises(GraphError):
             TrivalentGraph(2, ((0, 5), (0, 1), (0, 1)))
+
+    def test_float_endpoint_is_refused_not_truncated(self):
+        # int(1.7) would be 1 and turn this into the genus-2 theta graph
+        with pytest.raises(GraphError, match="non-integer"):
+            validate([(0, 1.7), (0, 1), (0, 1)])
+        with pytest.raises(GraphError, match="non-integer"):
+            TrivalentGraph(2, ((0, 1.0), (0, 1), (0, 1)))
+
+    def test_string_endpoint_is_refused(self):
+        with pytest.raises(GraphError, match="non-integer"):
+            TrivalentGraph(2, (("0", "1"), ("0", "1"), ("0", "1")))
+        with pytest.raises(GraphError, match="non-integer"):
+            validate([("0", 1), (0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("endpoint", [None, F(1), F(3, 2), 1j, b"1"])
+    def test_other_non_integer_endpoint_is_refused(self, endpoint):
+        with pytest.raises(GraphError, match="non-integer"):
+            TrivalentGraph(2, ((0, endpoint), (0, 1), (0, 1)))
+
+    def test_integer_like_endpoints_are_accepted(self):
+        # operator.index takes any type that declares itself an integer
+        class Vertex:
+            def __init__(self, i):
+                self.i = i
+
+            def __index__(self):
+                return self.i
+
+        g = validate([(Vertex(0), Vertex(1)), (0, 1), (0, 1)])
+        assert g.edges == ((0, 1),) * 3
+        assert all(type(x) is int for e in g.edges for x in e)
 
     def test_loops_count_twice(self, dumbbell):
         # loop at 0 plus the bridge gives degree 3, not 2

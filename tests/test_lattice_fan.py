@@ -30,6 +30,7 @@ from helpers import (
     hermite_lattice,
     identity,
     inverse_lattice_member,
+    large_random_graphs,
     lattice_basis,
     random_hsystem,
     random_trivalent_graph,
@@ -133,6 +134,7 @@ class TestLatticeOracles:
     def test_basis_is_the_hermite_basis(self, theta2, theta3, theta4, dumbbell, k4):
         graphs = [theta2, theta3, theta4, dumbbell, k4] + _seeded_graphs()
         assert sum(not g.is_loop_free() for g in graphs) >= 100
+        graphs += large_random_graphs(seed=82)  # genus 8 to 12
         for graph in graphs:
             L = build_lattice(graph)
             hermite = hermite_lattice(graph_lattice_generators(graph))

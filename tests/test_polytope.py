@@ -34,6 +34,7 @@ from helpers import (
     fraction_brute_force_vertices,
     gauss_rank,
     inequality_hrep,
+    large_random_graphs,
     pairwise_facet_rows,
     per_vertex_is_simple,
     random_hsystem,
@@ -549,7 +550,8 @@ def _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed):
 class TestBuildHrepOracle:
     def test_matches_normalising_route(self, theta2, theta3, theta4, dumbbell, k4):
         graphs = _fixtures_and_random_graphs(theta2, theta3, dumbbell, k4, seed=13)
-        for graph in graphs + [theta4, multi_theta(8)]:
+        graphs += [theta4, multi_theta(8)] + large_random_graphs(seed=81)
+        for graph in graphs:
             # HPolytope equality: the rows and their order
             assert build_hrep(graph) == inequality_hrep(graph)
 
