@@ -23,6 +23,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from .exactmath import exact
 from .graph_core import (
@@ -82,6 +84,51 @@ REPORT_LAYOUT = (
 RATIONAL_FIELDS = frozenset({"covolume", "simple_witness"})
 
 
+def _json_layout() -> tuple[str, attrgetter, tuple[bool, ...], tuple[str, ...]]:
+    """REPORT_LAYOUT as json.dumps(doc, indent=2) lays it out: a %-template
+    with one %s per value, one getter for all the fields in that order,
+    and per value whether it is rational and the indent of its line."""
+    items, fields, rational, pads = [], [], [], []
+    for section, keys in REPORT_LAYOUT:
+        pad = "  " if section is None else "    "
+        lines = [f"{pad}{_quote(key)}: %s" for key in keys]
+        fields += keys.values()
+        rational += [field in RATIONAL_FIELDS for field in keys.values()]
+        pads += [pad] * len(keys)
+        if section is None:
+            items += lines
+        else:
+            items.append(f"  {_quote(section)}: {{\n" + ",\n".join(lines) + "\n  }")
+    template = "{\n" + ",\n".join(items) + "\n}"
+    return template, attrgetter(*fields), tuple(rational), tuple(pads)
+
+
+def _json_value(x, rational: bool, pad: str) -> str:
+    """One value as json.dumps(..., indent=2) writes it on a line indented
+    by pad: a rational as its "p/q" string, a witness one string per line
+    a level deeper.  None, True and False are tested before int, which
+    bool subclasses."""
+    if x is None:
+        return "null"
+    if rational:
+        if not isinstance(x, tuple):
+            return _quote(str(x))
+        if not x:
+            return "[]"
+        inner = f"\n{pad}  "
+        return f"[{inner}" + f",{inner}".join([_quote(str(c)) for c in x]) + f"\n{pad}]"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, str):
+        return _quote(x)
+    return int.__repr__(x)
+
+
+_JSON_TEMPLATE, _JSON_FIELDS, _JSON_RATIONAL, _JSON_PADS = _json_layout()
+
+
 @dataclass(frozen=True, kw_only=True)
 class AnalysisReport:
     """Everything the pipeline learns about one graph.
@@ -115,15 +162,11 @@ class AnalysisReport:
             raise ValueError("SMOOTH verdict with failing sub-verdicts")
 
     def to_json(self) -> str:
-        doc = {}
-        for section, keys in REPORT_LAYOUT:
-            out = doc if section is None else doc.setdefault(section, {})
-            for key, field in keys.items():
-                x = getattr(self, field)
-                if x is not None and field in RATIONAL_FIELDS:
-                    x = [str(c) for c in x] if isinstance(x, tuple) else str(x)
-                out[key] = x
-        return json.dumps(doc, indent=2)
+        """The report as json.dumps(doc, indent=2) would write it, written
+        directly from the REPORT_LAYOUT template (_json_layout)."""
+        return _JSON_TEMPLATE % tuple(
+            map(_json_value, _JSON_FIELDS(self), _JSON_RATIONAL, _JSON_PADS)
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":

@@ -139,7 +139,7 @@ def validate(edges: Iterable[tuple[int, int]]) -> TrivalentGraph:
     edge_list = _integer_edges(edges)
     if not edge_list:
         raise GraphError("graph has no edges")
-    return TrivalentGraph(max(max(u, v) for u, v in edge_list) + 1, edge_list)
+    return TrivalentGraph(max(map(max, edge_list)) + 1, edge_list)
 
 
 def _integer_edges(edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -181,17 +181,21 @@ def multi_theta(g: int) -> TrivalentGraph:
 def parse_graph(text: str) -> TrivalentGraph:
     """Parse the plain text edge-list format.
 
-    One edge per line as two whitespace-separated non-negative integers;
-    blank lines and ``#`` comments are ignored; the edge index is the
-    0-based position among the edge lines.
+    One edge per line as two whitespace-separated non-negative integers
+    written in ASCII digits; blank lines and ``#`` comments, which may hold
+    any text, are ignored; the edge index is the 0-based position among
+    the edge lines.
     """
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        # only the tokens must be ASCII digits (isdigit alone also takes
+        # superscripts and other scripts' digits); a comment may hold any text
+        if len(parts) != 2 or not (
+            parts[0].isdigit() and parts[1].isdigit() and parts[0].isascii() and parts[1].isascii()
+        ):
             raise GraphSyntaxError(line_no, raw.strip())
         try:
             edges.append((int(parts[0]), int(parts[1])))

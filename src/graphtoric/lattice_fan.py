@@ -51,11 +51,14 @@ class Lattice:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.scale < 1 or len(self.rows) != self.dim or any(
-            len(row) != self.dim or not row[i] or any(row[:i])
-            for i, row in enumerate(self.rows)
-        ):
-            raise ValueError("basis must be square, upper-triangular, with a nonzero diagonal")
+        n = self.dim
+        bad = "basis must be square, upper-triangular, with a nonzero diagonal"
+        if self.scale < 1 or len(self.rows) != n:
+            raise ValueError(bad)
+        # a loop, not any() over a generator, whose resume per row cost more
+        for i, row in enumerate(self.rows):
+            if len(row) != n or not row[i] or any(row[:i]):
+                raise ValueError(bad)
 
     @cached_property
     def covolume(self) -> Fraction:

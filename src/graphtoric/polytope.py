@@ -105,7 +105,8 @@ def build_hrep(graph: TrivalentGraph) -> HPolytope:
             row[a] += sa
             row[b] += sb
             row[c] += sc
-            rows[Row(tuple(row), rhs)] = None
+            # tuple.__new__, as NamedTuple's own __new__ is a Python frame per row
+            rows[tuple.__new__(Row, (tuple(row), rhs))] = None
     return HPolytope(n, tuple(rows))
 
 

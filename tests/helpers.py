@@ -10,9 +10,11 @@ edge route the smoothness test used before it read the normal fan, the
 per-vertex scan simplicity used before it read the row masks, the
 all-pairs superset scan facets used before they walked the masks in
 popcount order, the incidence rebuild the trinion triples came from
-before validation kept them, and the contracted-graph walk the vertex
-labellings came from before they read the graph's own spanning tree) so
-that agreement is meaningful.
+before validation kept them, the contracted-graph walk the vertex
+labellings came from before they read the graph's own spanning tree,
+the stripping line loop that read graph text before parse_graph split
+each line once, and the json.dumps route that wrote the JSON report
+before to_json wrote it directly) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from __future__ import annotations
 import cProfile
 import fractions
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
+from graphtoric.cli import RATIONAL_FIELDS, REPORT_LAYOUT, AnalysisReport
 from graphtoric.exactmath import EchelonBasis, exact, hnf, inverse, primitive, primitive_direction
-from graphtoric.graph_core import GraphError, TrinionTriple, TrivalentGraph
+from graphtoric.graph_core import GraphError, GraphSyntaxError, TrinionTriple, TrivalentGraph, validate
 from graphtoric.lattice_fan import SINGULAR, SMOOTH, Lattice
 from graphtoric.polytope import (
     HPolytope,
@@ -153,6 +157,44 @@ def supporting_hsystem(rng: random.Random, n: int, n_rows: int, n_points: int) -
     for a in rng.sample(directions, n_rows):
         rows.append((a, max(sum(x * y for x, y in zip(a, p)) for p in points)))
     return HPolytope.from_inequalities(n, rows)
+
+
+# ---------------------------------------------------------------------------
+# Text format and JSON report oracles
+# ---------------------------------------------------------------------------
+
+def stripped_line_parse_graph(text: str) -> TrivalentGraph:
+    """parse_graph by the line loop it replaced: strip each comment-cut
+    line, split it, and test every token with a generator over all()."""
+    edges = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            raise GraphSyntaxError(line_no, raw.strip())
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:  # more digits than int() converts
+            raise GraphSyntaxError(line_no, raw.strip()) from None
+    if not edges:
+        raise GraphError("no edges found in graph text")
+    return validate(edges)
+
+
+def json_dumps_report(report: AnalysisReport) -> str:
+    """AnalysisReport.to_json by the route it replaced: a dict built from
+    REPORT_LAYOUT, written by json.dumps(doc, indent=2)."""
+    doc = {}
+    for section, keys in REPORT_LAYOUT:
+        out = doc if section is None else doc.setdefault(section, {})
+        for key, field in keys.items():
+            x = getattr(report, field)
+            if x is not None and field in RATIONAL_FIELDS:
+                x = [str(c) for c in x] if isinstance(x, tuple) else str(x)
+            out[key] = x
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,9 +14,9 @@ import graphtoric
 import graphtoric.cli as cli
 from graphtoric import lattice_fan, polytope
 from graphtoric.cli import AnalysisReport, analyze_graph, main
-from graphtoric.graph_core import TrivalentGraph
+from graphtoric.graph_core import TrivalentGraph, multi_theta
 from graphtoric.lattice_fan import SMOOTH, ConsistencyError, DelzantVerdict
-from helpers import echelon_facet_rows, rational_vpolytope
+from helpers import echelon_facet_rows, json_dumps_report, random_trivalent_graph, rational_vpolytope
 
 F = Fraction
 
@@ -523,6 +524,54 @@ class TestStagesRunOnce:
         assert lattice_fan.delzant_check(b.hrep, b.vpoly, b.lattice, b.facet_rows).smooth
         assert stage_calls["delzant_check"] == 1
         assert stage_calls["blocks_in_lattice"] == stage_calls["is_lattice_polytope"] == 0
+
+
+class TestJsonWriterOracle:
+    """to_json writes REPORT_LAYOUT directly; json.dumps(doc, indent=2),
+    the route it replaced (helpers.json_dumps_report), must give the same
+    bytes."""
+
+    @pytest.mark.parametrize("g", range(2, 13))
+    def test_theta_reports(self, g):
+        report, _ = analyze_graph(multi_theta(g))
+        assert report.overall == (SMOOTH if g == 2 else "SINGULAR")
+        assert report.to_json() == json_dumps_report(report)
+
+    def test_skip_vertex_enum_reports(self):
+        for g in range(8, 41):
+            report, _ = analyze_graph(multi_theta(g), skip_vertex_enum=True)
+            assert report.simple_witness is None and report.overall is None
+            assert report.to_json() == json_dumps_report(report)
+
+    def test_looped_and_simple_graphs(self, dumbbell, k4):
+        tripod = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3)))
+        for graph in (dumbbell, k4, tripod):
+            report, _ = analyze_graph(graph)
+            assert report.to_json() == json_dumps_report(report)
+        # the tripod's witness, a list of six strings with two "1/2"
+        assert report.simple_witness == (0, 1, 1, 0, F(1, 2), F(1, 2))
+
+    def test_random_graphs(self):
+        rng = random.Random(35)
+        for _ in range(200):
+            graph = random_trivalent_graph(rng, 2 * rng.randint(2, 6) - 2)
+            report, _ = analyze_graph(graph)
+            assert report.to_json() == json_dumps_report(report)
+
+    def test_literals_and_empty_witness(self):
+        # bools are ints, so they must be told apart before int; an empty
+        # witness is [] on the key's own line
+        report = AnalysisReport(
+            genus=True, graph_vertices=False, graph_edges=0, loop_free=True,
+            ambient_dim=-1, cube_vertex_count=10**30, covolume=F(-7, 3),
+            simple=False, simple_witness=(), lattice_polytope=None,
+            smooth=True, overall="x\u00fc\"\n", elapsed_ms=2,
+        )
+        text = report.to_json()
+        assert text == json_dumps_report(report)
+        assert '"genus": true,' in text and '"affine_dim": null,' in text
+        assert '    "simple_witness": [],\n' in text
+        assert '"overall": "x\\u00fc\\"\\n"' in text
 
 
 class TestReportValue:

@@ -22,7 +22,7 @@ from graphtoric.graph_core import (
     validate,
 )
 from graphtoric.polytope import build_hrep, cube_vertex_labellings, enumerate_vertices
-from helpers import gf2_rank, incidence_triples, random_trivalent_graph
+from helpers import gf2_rank, incidence_triples, random_trivalent_graph, stripped_line_parse_graph
 
 
 class TestMultiTheta:
@@ -295,6 +295,29 @@ class TestFileFormat:
     def test_wrong_field_count_rejected(self):
         with pytest.raises(GraphSyntaxError):
             parse_graph("0 1 2\n")
+
+    # split() with no argument splits at any whitespace and drops it at
+    # both ends, as strip() did; only the tokens must be ASCII, so a
+    # comment may hold any text
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1 # ü\n0 1\n0 1  # ٣ ²\n", "0\t1\n0\u30001\n\t 0 \u3000 1\u3000\n", "0 1\r\n0 1\r\n0 1\r\n"],
+        ids=["non-ascii-comment", "tabs-and-ideographic-space", "crlf"],
+    )
+    def test_whitespace_and_comments(self, text):
+        assert parse_graph(text) == stripped_line_parse_graph(text) == multi_theta(2)
+
+    @pytest.mark.parametrize(
+        "text", ["0 1\r\n0\t٣ # ü\r\n0 1\r\n", "0 1\n\u3000１\u30000\n0 1\n", "0 1\n0\t1\t2\n"]
+    )
+    def test_errors_match_line_loop(self, text):
+        errors = []
+        for parse in (parse_graph, stripped_line_parse_graph):
+            with pytest.raises(GraphSyntaxError) as e:
+                parse(text)
+            errors.append((e.value.line_no, str(e.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2
 
     # str.isdigit() accepts superscripts and non-ASCII decimal digits, and
     # int() refuses more than 4300 digits; each is a syntax error, not a
